@@ -27,9 +27,10 @@ test:
 	$(GO) test ./...
 
 # check is the conformance gate: vet, the pinned static analyzers, and
-# the repo lints (metric naming convention over the full registry).
+# the repo lints (metric naming convention over the full registry; no
+# exported internal/ identifier that only tests use).
 check: vet staticcheck govulncheck
-	$(GO) test -run 'TestMetricNameLint' .
+	$(GO) test -run 'TestMetricNameLint|TestExportedAPILint' .
 
 # race includes the obs registry stress test (internal/obs/stress_test.go).
 race:

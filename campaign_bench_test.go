@@ -21,7 +21,7 @@ func BenchmarkCampaignUnit(b *testing.B) {
 		Scenario:     channel.Scenario1x1,
 		Topologies:   1,
 		Shards:       1,
-		Profiles:     campaign.DefaultProfiles(),
+		Profiles:     []campaign.Profile{{Name: "default", Impairments: channel.DefaultImpairments()}},
 		AgeBuckets:   1,
 		SkipCOPAPlus: true,
 	}

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -22,23 +23,27 @@ import (
 	"copa/internal/strategy"
 )
 
-func main() {
-	coherences := flag.String("coherence", "4ms,30ms,1s", "comma-separated coherence times for the overhead table")
-	dcf := flag.Bool("dcf", false, "run the slotted DCF fairness simulation instead")
-	cluster := flag.Bool("cluster", false, "run the full-protocol cluster fairness simulation instead")
-	stations := flag.Int("stations", 3, "number of contending stations/pairs")
-	txops := flag.Int("txops", 20000, "TXOPs to simulate (DCF mode)")
-	rounds := flag.Int("rounds", 40, "contention rounds (cluster mode)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("copamac", flag.ContinueOnError)
+	coherences := fs.String("coherence", "4ms,30ms,1s", "comma-separated coherence times for the overhead table")
+	dcf := fs.Bool("dcf", false, "run the slotted DCF fairness simulation instead")
+	cluster := fs.Bool("cluster", false, "run the full-protocol cluster fairness simulation instead")
+	stations := fs.Int("stations", 3, "number of contending stations/pairs")
+	txops := fs.Int("txops", 20000, "TXOPs to simulate (DCF mode)")
+	rounds := fs.Int("rounds", 40, "contention rounds (cluster mode)")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *dcf {
-		runDCF(*stations, *txops, *seed)
-		return
+		runDCF(stdout, *stations, *txops, *seed)
+		return 0
 	}
 	if *cluster {
-		runCluster(*stations, *rounds, *seed)
-		return
+		return runCluster(stdout, *stations, *rounds, *seed)
 	}
 
 	var tcs []time.Duration
@@ -46,20 +51,21 @@ func main() {
 		d, err := time.ParseDuration(strings.TrimSpace(tok))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bad coherence time %q: %v\n", tok, err)
-			os.Exit(1)
+			return 1
 		}
 		tcs = append(tcs, d)
 	}
 	m := mac.DefaultOverheadModel()
-	fmt.Println("coherence   COPA-Conc  COPA-Seq  CSMA-CTS  CSMA-RTS/CTS")
+	fmt.Fprintln(stdout, "coherence   COPA-Conc  COPA-Seq  CSMA-CTS  CSMA-RTS/CTS")
 	for _, r := range m.Table1(tcs...) {
-		fmt.Printf("%9s   %8.2f%%  %7.2f%%  %7.2f%%  %11.2f%%\n",
+		fmt.Fprintf(stdout, "%9s   %8.2f%%  %7.2f%%  %7.2f%%  %11.2f%%\n",
 			r.Coherence, r.COPAConc*100, r.COPASeq*100, r.CSMACTS*100, r.CSMARTS*100)
 	}
+	return 0
 }
 
-func runCluster(pairs, rounds int, seed int64) {
-	fmt.Printf("cluster of %d COPA pairs (4x2), %d contention rounds, full ITS protocol\n\n", pairs, rounds)
+func runCluster(w io.Writer, pairs, rounds int, seed int64) int {
+	fmt.Fprintf(w, "cluster of %d COPA pairs (4x2), %d contention rounds, full ITS protocol\n\n", pairs, rounds)
 	for _, cfg := range []struct {
 		name      string
 		deference bool
@@ -71,35 +77,36 @@ func runCluster(pairs, rounds int, seed int64) {
 		dep, err := channel.NewMultiDeployment(src.Split(1), channel.Scenario4x2, pairs)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		c := core.NewCluster(dep, channel.DefaultImpairments(), 30*time.Millisecond, strategy.ModeFair, src.Split(2))
 		c.Deference = cfg.deference
 		stats, err := c.RunRounds(rounds)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
-		fmt.Printf("%-20s Jain=%.4f concurrent=%.0f%% airtime=", cfg.name, stats.JainIndex, stats.ConcurrentFraction*100)
+		fmt.Fprintf(w, "%-20s Jain=%.4f concurrent=%.0f%% airtime=", cfg.name, stats.JainIndex, stats.ConcurrentFraction*100)
 		for i, a := range stats.AirtimeShare {
 			if i > 0 {
-				fmt.Print("/")
+				fmt.Fprint(w, "/")
 			}
-			fmt.Printf("%.3f", a)
+			fmt.Fprintf(w, "%.3f", a)
 		}
-		fmt.Printf("  tput=")
+		fmt.Fprintf(w, "  tput=")
 		for i, tp := range stats.MeanTputBps {
 			if i > 0 {
-				fmt.Print("/")
+				fmt.Fprint(w, "/")
 			}
-			fmt.Printf("%.0f", tp/1e6)
+			fmt.Fprintf(w, "%.0f", tp/1e6)
 		}
-		fmt.Println(" Mb/s")
+		fmt.Fprintln(w, " Mb/s")
 	}
+	return 0
 }
 
-func runDCF(stations, txops int, seed int64) {
-	fmt.Printf("DCF with %d stations; stations 0,1 form a COPA pair (sequential verdicts)\n\n", stations)
+func runDCF(w io.Writer, stations, txops int, seed int64) {
+	fmt.Fprintf(w, "DCF with %d stations; stations 0,1 form a COPA pair (sequential verdicts)\n\n", stations)
 	for _, cfg := range []struct {
 		name string
 		d    mac.DCF
@@ -109,13 +116,13 @@ func runDCF(stations, txops int, seed int64) {
 		{"COPA pair + deference (§3.1)", mac.DCF{Stations: stations, COPAPair: true, Deference: true}},
 	} {
 		stats := cfg.d.Run(rng.New(seed), txops)
-		fmt.Printf("%-30s Jain=%.4f collisions=%.2f%% airtime=", cfg.name, stats.JainIndex, stats.Collisions*100)
+		fmt.Fprintf(w, "%-30s Jain=%.4f collisions=%.2f%% airtime=", cfg.name, stats.JainIndex, stats.Collisions*100)
 		for i, a := range stats.Airtime {
 			if i > 0 {
-				fmt.Print("/")
+				fmt.Fprint(w, "/")
 			}
-			fmt.Printf("%.3f", a)
+			fmt.Fprintf(w, "%.3f", a)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -23,16 +24,18 @@ import (
 	"copa/internal/viz"
 )
 
-func main() { os.Exit(run(os.Args[1:])) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 
-func run(args []string) int {
-	fs := flag.NewFlagSet("copareport", flag.ExitOnError)
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("copareport", flag.ContinueOnError)
 	out := fs.String("o", "report.html", "output HTML file")
 	seed := fs.Int64("seed", 1, "master seed")
 	topologies := fs.Int("topologies", 30, "topologies per scenario")
 	skipPlus := fs.Bool("skip-copa-plus", false, "skip the slow COPA+ variants")
 	verbose := fs.Bool("v", false, "debug logging (per-section progress)")
-	_ = fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	obs.SetVerbose(*verbose)
 	logger := obs.Logger()
 
@@ -258,6 +261,6 @@ simulated testbed (seed `)
 		logger.Error("write report failed", "path", *out, "err", err)
 		return 1
 	}
-	fmt.Printf("wrote %s (%d KiB)\n", *out, len(b.String())/1024)
+	fmt.Fprintf(stdout, "wrote %s (%d KiB)\n", *out, len(b.String())/1024)
 	return 0
 }

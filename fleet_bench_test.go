@@ -21,7 +21,7 @@ func BenchmarkFleetMergeShard(b *testing.B) {
 		Scenario:     channel.Scenario1x1,
 		Topologies:   8,
 		Shards:       1,
-		Profiles:     campaign.DefaultProfiles(),
+		Profiles:     []campaign.Profile{{Name: "default", Impairments: channel.DefaultImpairments()}},
 		AgeBuckets:   1,
 		SkipCOPAPlus: true,
 	}

@@ -11,7 +11,9 @@
 package api
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"copa/internal/cliflags"
@@ -101,11 +103,13 @@ func ParseRequest(ar AllocateRequest) (serve.Request, error) {
 	if err != nil {
 		return req, err
 	}
-	if ar.CSIAgeMS < 0 {
-		return req, fmt.Errorf("negative csi_age_ms %g", ar.CSIAgeMS)
+	csiAge, err := durationMS("csi_age_ms", ar.CSIAgeMS)
+	if err != nil {
+		return req, err
 	}
-	if ar.TimeMS < 0 {
-		return req, fmt.Errorf("negative time_ms %g", ar.TimeMS)
+	t, err := durationMS("time_ms", ar.TimeMS)
+	if err != nil {
+		return req, err
 	}
 	if ar.TimeMS > 0 && !ar.Session {
 		return req, fmt.Errorf("time_ms requires session mode")
@@ -115,12 +119,29 @@ func ParseRequest(ar AllocateRequest) (serve.Request, error) {
 		Seed:         ar.Seed,
 		Mode:         mode,
 		Impairments:  imp,
-		CSIAge:       time.Duration(ar.CSIAgeMS * float64(time.Millisecond)),
+		CSIAge:       csiAge,
 		MultiDecoder: ar.MultiDecoder,
 		Session:      ar.Session,
-		Time:         time.Duration(ar.TimeMS * float64(time.Millisecond)),
+		Time:         t,
 	}
 	return req, nil
+}
+
+// ErrTimeRange rejects a csi_age_ms or time_ms that is negative, not
+// finite, or longer than a time.Duration can hold. The binary codec
+// carries any float64, so this is the one check both codecs pass
+// through; the HTTP handlers answer it with 400.
+var ErrTimeRange = errors.New("time out of range")
+
+// durationMS converts a wire millisecond count to a Duration.
+func durationMS(field string, ms float64) (time.Duration, error) {
+	ns := ms * float64(time.Millisecond)
+	// float64(math.MaxInt64) is 2^63, so every ns below it converts
+	// without overflow; NaN fails both comparisons.
+	if !(ns >= 0 && ns < float64(math.MaxInt64)) {
+		return 0, fmt.Errorf("%w: %s %g", ErrTimeRange, field, ms)
+	}
+	return time.Duration(ns), nil
 }
 
 // ToResponse converts a served result to wire form.

@@ -3,6 +3,8 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -140,5 +142,62 @@ func TestHealthzExposesCacheStats(t *testing.T) {
 	}
 	if hz.Cache.Entries < 1 || hz.Cache.Capacity < 1 {
 		t.Errorf("cache occupancy not populated: %+v", hz.Cache)
+	}
+}
+
+// TestParseRequestRejectsBadTimes feeds out-of-range csi_age_ms and
+// session time_ms through both codecs. Each must fail ParseRequest with
+// ErrTimeRange and get a 400, never be served from age bucket 0 as
+// fresh CSI. JSON has no NaN or ±Inf literal, so those values travel
+// only in the binary codec.
+func TestParseRequestRejectsBadTimes(t *testing.T) {
+	ts := httptest.NewServer(NewHandler(testServer(t)))
+	defer ts.Close()
+
+	values := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 1e300, 1e13}
+	for _, field := range []string{"csi_age_ms", "time_ms"} {
+		for _, v := range values {
+			ar := AllocateRequest{Scenario: "4x2", Seed: 3}
+			if field == "csi_age_ms" {
+				ar.CSIAgeMS = v
+			} else {
+				ar.Session, ar.TimeMS = true, v
+			}
+			bodies := map[string][]byte{}
+			bin, err := EncodeRequestBinary(ar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies[ContentTypeBinary] = bin
+			if !math.IsNaN(v) && !math.IsInf(v, 0) {
+				js, err := json.Marshal(ar)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bodies[ContentTypeJSON] = js
+			}
+			for ct, body := range bodies {
+				decoded, err := DecodeRequestBody(ct, body)
+				if err != nil {
+					t.Fatalf("%s=%g via %s: decode: %v", field, v, ct, err)
+				}
+				if _, err := ParseRequest(decoded); !errors.Is(err, ErrTimeRange) {
+					t.Errorf("%s=%g via %s: ParseRequest error %v, want ErrTimeRange", field, v, ct, err)
+				}
+				resp, err := http.Post(ts.URL+"/v1/allocate", ct, bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Errorf("%s=%g via %s: status %d, want 400", field, v, ct, resp.StatusCode)
+				}
+			}
+		}
+	}
+
+	// The largest representable age still parses.
+	if _, err := ParseRequest(AllocateRequest{Scenario: "4x2", CSIAgeMS: 9e12}); err != nil {
+		t.Errorf("csi_age_ms=9e12: %v", err)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
 	"copa/internal/channel"
@@ -31,12 +30,6 @@ import (
 type Profile struct {
 	Name        string              `json:"name"`
 	Impairments channel.Impairments `json:"impairments"`
-}
-
-// DefaultProfiles is the single-profile grid matching the paper's
-// WARP-class calibration.
-func DefaultProfiles() []Profile {
-	return []Profile{{Name: "default", Impairments: channel.DefaultImpairments()}}
 }
 
 // evalSeedXor separates the evaluation-stream family from the
@@ -75,19 +68,6 @@ type Spec struct {
 	SkipCOPAPlus bool `json:"skip_copa_plus,omitempty"`
 	// MultiDecoder evaluates with per-subcarrier rate selection.
 	MultiDecoder bool `json:"multi_decoder,omitempty"`
-}
-
-// DefaultSpec mirrors the paper's evaluation shape: 30 topologies,
-// WARP-class impairments, fresh CSI, one shard per four topologies.
-func DefaultSpec(seed int64) Spec {
-	return Spec{
-		Seed:       seed,
-		Scenario:   channel.Scenario4x2,
-		Topologies: 30,
-		Shards:     8,
-		Profiles:   DefaultProfiles(),
-		AgeBuckets: 1,
-	}
 }
 
 // Validate rejects specs the engine cannot shard deterministically.
@@ -221,14 +201,4 @@ func (r *Result) Column(name string) *Column { return r.Columns[name] }
 // SchemeColumn returns the (profile, age, scheme) column, or nil.
 func (r *Result) SchemeColumn(profile string, age int, scheme string) *Column {
 	return r.Columns[ColumnName(profile, age, scheme)]
-}
-
-// ColumnNames lists the columns in sorted order.
-func (r *Result) ColumnNames() []string {
-	names := make([]string, 0, len(r.Columns))
-	for n := range r.Columns {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -129,8 +129,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	if err := json.Unmarshal(outs[0], res); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range res.ColumnNames() {
-		col := res.Column(name)
+	for name, col := range res.Columns {
 		if strings.HasPrefix(name, "fig9/") {
 			if col.Moments.N == 0 {
 				t.Errorf("column %s is empty", name)

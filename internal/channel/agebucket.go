@@ -18,11 +18,12 @@ func AgeBucket(age, coherence time.Duration, buckets int) int {
 	if age <= 0 || coherence <= 0 || buckets <= 0 {
 		return 0
 	}
-	b := int(int64(buckets) * int64(age) / int64(coherence))
-	if b > buckets {
-		b = buckets
+	// Saturate before multiplying: buckets·age overflows int64 for ages
+	// near the top of time.Duration's range.
+	if age >= coherence {
+		return buckets
 	}
-	return b
+	return int(int64(buckets) * int64(age) / int64(coherence))
 }
 
 // BucketStart returns the age at which a bucket begins — the inverse of

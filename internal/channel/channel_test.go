@@ -2,8 +2,10 @@ package channel
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"copa/internal/ofdm"
 	"copa/internal/rng"
@@ -320,5 +322,49 @@ func BenchmarkNewDeployment4x2(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		NewDeployment(src.Split(uint64(i)), Scenario4x2)
+	}
+}
+
+// SubcarrierGainDB returns the power gain in dB of entry (rx, tx) on data
+// subcarrier k.
+func (l *Link) SubcarrierGainDB(k, rx, tx int) float64 {
+	g := cmplx.Abs(l.Subcarriers[k].At(rx, tx))
+	return LinearToDB(g * g)
+}
+
+// AverageGainDB returns the link's mean per-antenna-pair power gain in dB,
+// averaged over subcarriers and antenna pairs.
+func (l *Link) AverageGainDB() float64 {
+	var sum float64
+	n := 0
+	for _, h := range l.Subcarriers {
+		for _, v := range h.Data {
+			sum += real(v)*real(v) + imag(v)*imag(v)
+			n++
+		}
+	}
+	return LinearToDB(sum / float64(n))
+}
+
+func TestAgeBucket(t *testing.T) {
+	const coh = 10 * time.Millisecond
+	for _, c := range []struct {
+		age  time.Duration
+		want int
+	}{
+		{-time.Millisecond, 0},
+		{0, 0},
+		{coh / 4, 1},
+		{coh - 1, 3},
+		{coh, 4},
+		{5 * coh, 4},
+		// buckets·age overflows int64 here; the bucket must saturate,
+		// not wrap negative.
+		{3e18, 4},
+		{math.MaxInt64, 4},
+	} {
+		if got := AgeBucket(c.age, coh, 4); got != c.want {
+			t.Errorf("AgeBucket(%v) = %d, want %d", c.age, got, c.want)
+		}
 	}
 }

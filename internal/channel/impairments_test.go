@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"copa/internal/linalg"
 	"copa/internal/rng"
 )
 
@@ -57,28 +56,6 @@ func TestNullVarFactorsNormalization(t *testing.T) {
 		if v != 1 {
 			t.Fatal("σ=0 should give unit factors")
 		}
-	}
-}
-
-func TestTxNoiseCovariance(t *testing.T) {
-	imp := Impairments{TxEVMDB: -30}
-	v := imp.TxNoiseCovariance(10, 4)
-	want := DBToLinear(-30) * 10 / 4
-	if math.Abs(v-want) > 1e-15 {
-		t.Errorf("cov %g want %g", v, want)
-	}
-	if imp.TxNoiseCovariance(10, 0) != 0 {
-		t.Error("zero antennas should give zero")
-	}
-}
-
-func TestInterferenceCovariance(t *testing.T) {
-	h := linalg.FromRows([][]complex128{{1, 0}, {0, 2}})
-	q := linalg.Identity(2).Scale(3)
-	cov := InterferenceCovariance(h, q, 0.5)
-	// H·Q·Hᴴ = diag(3, 12); + 0.5·H·Hᴴ = diag(0.5, 2) → diag(3.5, 14).
-	if math.Abs(real(cov.At(0, 0))-3.5) > 1e-12 || math.Abs(real(cov.At(1, 1))-14) > 1e-12 {
-		t.Errorf("cov = %v", cov)
 	}
 }
 

@@ -81,22 +81,6 @@ func NewMultiDeployment(src *rng.Source, sc Scenario, n int) (*MultiDeployment, 
 	return d, nil
 }
 
-// Sub extracts the two-pair view (leader pair a, follower pair b) as a
-// standard Deployment, sharing the underlying links.
-func (d *MultiDeployment) Sub(a, b int) *Deployment {
-	return &Deployment{
-		Scenario: d.Scenario,
-		AP:       [2]Point{d.AP[a], d.AP[b]},
-		Client:   [2]Point{d.Client[a], d.Client[b]},
-		H: [2][2]*Link{
-			{d.H[a][a], d.H[a][b]},
-			{d.H[b][a], d.H[b][b]},
-		},
-		SignalDBm:       [2]float64{d.SignalDBm[a], d.SignalDBm[b]},
-		InterferenceDBm: [2]float64{d.H[b][a].AverageGainDB() + MaxTxPowerDBm, d.H[a][b].AverageGainDB() + MaxTxPowerDBm},
-	}
-}
-
 // Evolve advances every link by dt seconds at the given coherence time.
 func (d *MultiDeployment) Evolve(src *rng.Source, dt, coherence float64) {
 	for i := range d.H {

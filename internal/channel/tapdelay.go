@@ -198,27 +198,6 @@ func dataSubcarrierBin(k int) int {
 	return bin
 }
 
-// SubcarrierGainDB returns the power gain in dB of entry (rx, tx) on data
-// subcarrier k.
-func (l *Link) SubcarrierGainDB(k, rx, tx int) float64 {
-	g := cmplx.Abs(l.Subcarriers[k].At(rx, tx))
-	return LinearToDB(g * g)
-}
-
-// AverageGainDB returns the link's mean per-antenna-pair power gain in dB,
-// averaged over subcarriers and antenna pairs.
-func (l *Link) AverageGainDB() float64 {
-	var sum float64
-	n := 0
-	for _, h := range l.Subcarriers {
-		for _, v := range h.Data {
-			sum += real(v)*real(v) + imag(v)*imag(v)
-			n++
-		}
-	}
-	return LinearToDB(sum / float64(n))
-}
-
 // Transpose returns the reciprocal link (receiver and sender roles
 // swapped): H_rev[k] = H[k]ᵀ, per over-the-air reciprocity (§3.1).
 func (l *Link) Transpose() *Link {

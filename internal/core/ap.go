@@ -31,10 +31,6 @@ type AP struct {
 	pendingTx *precoding.Transmission
 }
 
-// PendingTx returns the transmission negotiated in the last exchange this
-// AP followed, or nil if the verdict was sequential.
-func (ap *AP) PendingTx() *precoding.Transmission { return ap.pendingTx }
-
 // NewAP constructs an AP with an empty CSI cache.
 func NewAP(addr, client mac.Addr, sc channel.Scenario, imp channel.Impairments, coherence time.Duration, mode strategy.Mode) *AP {
 	return &AP{

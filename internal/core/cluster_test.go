@@ -40,11 +40,6 @@ func TestMultiDeploymentShape(t *testing.T) {
 			}
 		}
 	}
-	// Sub-deployment view shares the links.
-	sub := dep.Sub(0, 2)
-	if sub.H[0][0] != dep.H[0][0] || sub.H[1][0] != dep.H[2][0] {
-		t.Error("Sub does not share links")
-	}
 	if _, err := channel.NewMultiDeployment(rng.New(2), channel.Scenario4x2, 1); err == nil {
 		t.Error("single-pair multi-deployment should be rejected")
 	}

@@ -9,6 +9,7 @@ import (
 
 	"copa/internal/channel"
 	"copa/internal/mac"
+	"copa/internal/precoding"
 	"copa/internal/rng"
 	"copa/internal/strategy"
 )
@@ -256,4 +257,27 @@ func TestChannelEvolutionChangesDecisionInputs(t *testing.T) {
 	if before.Equal(after, 1e-12) {
 		t.Error("channel did not evolve")
 	}
+}
+
+// PendingTx returns the transmission negotiated in the last exchange this
+// AP followed, or nil if the verdict was sequential.
+func (ap *AP) PendingTx() *precoding.Transmission { return ap.pendingTx }
+
+// SetMaxEntries changes the bound; n <= 0 restores the default. The new
+// bound takes effect on the next Put.
+func (c *CSICache) SetMaxEntries(n int) {
+	if n <= 0 {
+		n = DefaultCacheEntries
+	}
+	c.max = n
+}
+
+// Age returns how old the entry for addr is at now, and whether it exists
+// at all.
+func (c *CSICache) Age(addr mac.Addr, now time.Duration) (time.Duration, bool) {
+	e, ok := c.entries[addr]
+	if !ok {
+		return 0, false
+	}
+	return now - e.at, true
 }

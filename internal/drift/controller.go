@@ -163,10 +163,6 @@ func NewController(dep *channel.Deployment, duration time.Duration, cfg Config) 
 // Stats returns the accumulated run statistics.
 func (c *Controller) Stats() *Stats { return &c.stats }
 
-// Transmissions returns the pair's current transmissions (nil entries
-// while in CSMA fallback).
-func (c *Controller) Transmissions() [2]*precoding.Transmission { return c.tx }
-
 // realized scores the current transmissions on the TRUE channels,
 // mirroring core.Pair.MeasuredThroughputs' concurrent arithmetic.
 func (c *Controller) realized() float64 {

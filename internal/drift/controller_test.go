@@ -210,3 +210,7 @@ func TestControllerChurnForcesFullExchange(t *testing.T) {
 		t.Fatalf("static channel performed %d incremental re-allocations", stats.Incremental)
 	}
 }
+
+// Transmissions returns the pair's current transmissions (nil entries
+// while in CSMA fallback).
+func (c *Controller) Transmissions() [2]*precoding.Transmission { return c.tx }

@@ -83,26 +83,6 @@ type EigBatch struct {
 	Vecs     []complex128
 }
 
-// Val returns eigenvalue j (descending) of matrix k.
-func (e *EigBatch) Val(k, j int) float64 { return e.Vals[j*e.Count+k] }
-
-// Vec returns entry i of eigenvector j of matrix k.
-func (e *EigBatch) Vec(k, i, j int) complex128 {
-	return e.Vecs[(i*e.N+j)*e.Count+k]
-}
-
-// VecsMatrixInto writes the eigenvector matrix of batch entry k into dst
-// (reshaped to N×N).
-func (e *EigBatch) VecsMatrixInto(dst *Matrix, k int) {
-	n := e.N
-	dst.Rows, dst.Cols = n, n
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			dst.Data[i*n+j] = e.Vecs[(i*n+j)*e.Count+k]
-		}
-	}
-}
-
 // EigHermitianBatch diagonalizes every matrix in the batch with one kernel
 // dispatch on N. Results are carved from ws; entries follow the same
 // descending-eigenvalue convention as EigHermitianWS. The batched kernels
@@ -559,9 +539,6 @@ type SVDBatchResult struct {
 	S        []float64
 	V        []complex128
 }
-
-// SVal returns singular value j (descending) of matrix k.
-func (r *SVDBatchResult) SVal(k, j int) float64 { return r.S[j*r.Count+k] }
 
 // gramSigmaErr bounds the absolute error of a Gram-derived singular value
 // relative to σmax: eigenvalues of MᴴM carry ~n·ε·λmax of rounding noise,

@@ -382,3 +382,14 @@ func TestSVDBatchAllocFree(t *testing.T) {
 		t.Fatalf("SVDBatch: %v allocs/op, want 0", allocs)
 	}
 }
+
+// Val returns eigenvalue j (descending) of matrix k.
+func (e *EigBatch) Val(k, j int) float64 { return e.Vals[j*e.Count+k] }
+
+// Vec returns entry i of eigenvector j of matrix k.
+func (e *EigBatch) Vec(k, i, j int) complex128 {
+	return e.Vecs[(i*e.N+j)*e.Count+k]
+}
+
+// SVal returns singular value j (descending) of matrix k.
+func (r *SVDBatchResult) SVal(k, j int) float64 { return r.S[j*r.Count+k] }

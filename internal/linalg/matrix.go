@@ -30,21 +30,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]complex128, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices. All rows must have equal length.
-func FromRows(rows [][]complex128) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for r, row := range rows {
-		if len(row) != m.Cols {
-			panic("linalg: ragged rows")
-		}
-		copy(m.Data[r*m.Cols:(r+1)*m.Cols], row)
-	}
-	return m
-}
-
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Matrix {
 	m := NewMatrix(n, n)
@@ -255,25 +240,6 @@ func (m *Matrix) MaxAbs() float64 {
 		}
 	}
 	return mx
-}
-
-// IsIdentity reports whether m is the identity matrix within tol.
-func (m *Matrix) IsIdentity(tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	for r := 0; r < m.Rows; r++ {
-		for c := 0; c < m.Cols; c++ {
-			want := complex128(0)
-			if r == c {
-				want = 1
-			}
-			if cmplx.Abs(m.At(r, c)-want) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // String renders the matrix for debugging.

@@ -58,19 +58,9 @@ func luWS(ws *Workspace, m *Matrix) (*Matrix, []int, error) {
 	return a, perm, nil
 }
 
-// Solve returns x such that m·x = b, for square m.
-func (m *Matrix) Solve(b []complex128) ([]complex128, error) {
-	var ws Workspace
-	x, err := m.SolveWS(&ws, b)
-	if err != nil {
-		return nil, err
-	}
-	return append([]complex128(nil), x...), nil
-}
-
-// SolveWS is Solve with all scratch and result storage carved from ws:
-// allocation-free once ws has warmed up. The returned slice lives in ws
-// (see Workspace ownership rules).
+// SolveWS returns x such that m·x = b, for square m, with all scratch
+// and result storage carved from ws: allocation-free once ws has warmed
+// up. The returned slice lives in ws (see Workspace ownership rules).
 func (m *Matrix) SolveWS(ws *Workspace, b []complex128) ([]complex128, error) {
 	if m.Rows != len(b) {
 		return nil, errSolveDim
@@ -205,25 +195,4 @@ func (m *Matrix) Cholesky() (*Matrix, error) {
 		}
 	}
 	return l, nil
-}
-
-// PseudoInverse returns the Moore–Penrose pseudo-inverse of m, computed via
-// the SVD, discarding singular values below tol relative to the largest.
-func (m *Matrix) PseudoInverse(tol float64) *Matrix {
-	var ws Workspace
-	u, s, v := m.SVDWS(&ws)
-	// pinv = V · Σ⁺ · Uᴴ
-	var smax float64
-	for _, sv := range s {
-		if sv > smax {
-			smax = sv
-		}
-	}
-	sinv := ws.Matrix(m.Cols, m.Rows) // Σ⁺ has the transposed shape of Σ
-	for i, sv := range s {
-		if smax > 0 && sv > tol*smax {
-			sinv.Set(i, i, complex(1/sv, 0))
-		}
-	}
-	return ws.Mul(ws.Mul(v, sinv), ws.H(u)).Clone()
 }

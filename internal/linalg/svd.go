@@ -175,34 +175,11 @@ func completeBasis(ws *Workspace, u *Matrix, have int) {
 	}
 }
 
-// Rank returns the numerical rank of m: the number of singular values
-// exceeding tol relative to the largest singular value.
-func (m *Matrix) Rank(tol float64) int {
-	var ws Workspace
-	_, s, _ := m.SVDWS(&ws)
-	if len(s) == 0 || s[0] == 0 {
-		return 0
-	}
-	rank := 0
-	for _, sv := range s {
-		if sv > tol*s[0] {
-			rank++
-		}
-	}
-	return rank
-}
-
-// Nullspace returns an orthonormal basis for the right nullspace of m:
-// a Cols×k matrix N with m·N ≈ 0, where k = Cols − rank(m). Singular values
-// below tol relative to the largest are treated as zero. The returned
-// matrix has zero columns when m has full column rank.
-func (m *Matrix) Nullspace(tol float64) *Matrix {
-	var ws Workspace
-	return m.NullspaceWS(&ws, tol).Clone()
-}
-
-// NullspaceWS is Nullspace with all storage carved from ws. The returned
-// matrix lives in ws (see Workspace ownership rules).
+// NullspaceWS returns an orthonormal basis for the right nullspace of m:
+// a Cols×k matrix N with m·N ≈ 0, where k = Cols − rank(m). Singular
+// values below tol relative to the largest are treated as zero. The
+// returned matrix has zero columns when m has full column rank and lives
+// in ws (see Workspace ownership rules).
 func (m *Matrix) NullspaceWS(ws *Workspace, tol float64) *Matrix {
 	_, s, v := m.SVDWS(ws)
 	smax := 0.0

@@ -30,15 +30,6 @@ func (b BlockAck) Acked(seq uint16) bool {
 	return b.Bitmap&(1<<off) != 0
 }
 
-// AckCount returns the number of acknowledged MPDUs in the window.
-func (b BlockAck) AckCount() int {
-	n := 0
-	for x := b.Bitmap; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
-}
-
 // BuildBlockAck assembles the bitmap from per-MPDU outcomes for the
 // window starting at startSeq.
 func BuildBlockAck(startSeq uint16, ok []bool) (BlockAck, error) {
@@ -120,12 +111,7 @@ func SimulateARQ(src *rng.Source, fer float64, rounds, perAggregate, maxRetries 
 				ok[off(s)] = true
 			}
 		}
-		ba := BlockAck{StartSeq: winStart}
-		for o, v := range ok {
-			if v {
-				ba.Bitmap |= 1 << o
-			}
-		}
+		ba, _ := BuildBlockAck(winStart, ok) // len(ok) == BAWindow always fits
 		// Process outcomes.
 		for _, s := range batch {
 			if ba.Acked(s) {

@@ -87,3 +87,12 @@ func TestSimulateARQValidation(t *testing.T) {
 		t.Error("oversized aggregate accepted")
 	}
 }
+
+// AckCount returns the number of acknowledged MPDUs in the window.
+func (b BlockAck) AckCount() int {
+	n := 0
+	for x := b.Bitmap; x != 0; x &= x - 1 {
+		n++
+	}
+	return n
+}

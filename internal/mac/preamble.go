@@ -1,45 +1,12 @@
 package mac
 
-import (
-	"fmt"
-
-	"copa/internal/ofdm"
-)
+import "copa/internal/ofdm"
 
 // SubcarrierMap is the bitmap COPA places in the A-MPDU preamble to tell
 // the receiver which subcarriers to attempt to decode (§3.2): dropped
 // subcarriers carry no data, and a receiver that tried to decode them
 // would feed garbage into its single Viterbi decoder.
 type SubcarrierMap [(ofdm.NumSubcarriers + 7) / 8]byte
-
-// NewSubcarrierMap builds a map from per-subcarrier usage flags.
-func NewSubcarrierMap(used []bool) (SubcarrierMap, error) {
-	var m SubcarrierMap
-	if len(used) != ofdm.NumSubcarriers {
-		return m, fmt.Errorf("mac: subcarrier map needs %d flags, got %d", ofdm.NumSubcarriers, len(used))
-	}
-	for k, u := range used {
-		if u {
-			m[k/8] |= 1 << (k % 8)
-		}
-	}
-	return m, nil
-}
-
-// SubcarrierMapFromPowers derives the map from a power allocation: a
-// subcarrier is decodable if any stream carries power on it.
-func SubcarrierMapFromPowers(powersMW [][]float64) (SubcarrierMap, error) {
-	used := make([]bool, len(powersMW))
-	for k, row := range powersMW {
-		for _, p := range row {
-			if p > 0 {
-				used[k] = true
-				break
-			}
-		}
-	}
-	return NewSubcarrierMap(used)
-}
 
 // Used reports whether subcarrier k carries data.
 func (m SubcarrierMap) Used(k int) bool {
@@ -66,14 +33,4 @@ func (m SubcarrierMap) Marshal() []byte {
 	out := make([]byte, len(m))
 	copy(out, m[:])
 	return out
-}
-
-// UnmarshalSubcarrierMap parses a marshaled map.
-func UnmarshalSubcarrierMap(data []byte) (SubcarrierMap, error) {
-	var m SubcarrierMap
-	if len(data) != len(m) {
-		return m, fmt.Errorf("%w: subcarrier map length %d", ErrBadFrame, len(data))
-	}
-	copy(m[:], data)
-	return m, nil
 }

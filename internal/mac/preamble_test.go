@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -79,4 +80,43 @@ func TestQuickSubcarrierMapCount(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// SubcarrierMapFromPowers derives the map from a power allocation: a
+// subcarrier is decodable if any stream carries power on it.
+func SubcarrierMapFromPowers(powersMW [][]float64) (SubcarrierMap, error) {
+	used := make([]bool, len(powersMW))
+	for k, row := range powersMW {
+		for _, p := range row {
+			if p > 0 {
+				used[k] = true
+				break
+			}
+		}
+	}
+	return NewSubcarrierMap(used)
+}
+
+// UnmarshalSubcarrierMap parses a marshaled map.
+func UnmarshalSubcarrierMap(data []byte) (SubcarrierMap, error) {
+	var m SubcarrierMap
+	if len(data) != len(m) {
+		return m, fmt.Errorf("%w: subcarrier map length %d", ErrBadFrame, len(data))
+	}
+	copy(m[:], data)
+	return m, nil
+}
+
+// NewSubcarrierMap builds a map from per-subcarrier usage flags.
+func NewSubcarrierMap(used []bool) (SubcarrierMap, error) {
+	var m SubcarrierMap
+	if len(used) != ofdm.NumSubcarriers {
+		return m, fmt.Errorf("mac: subcarrier map needs %d flags, got %d", ofdm.NumSubcarriers, len(used))
+	}
+	for k, u := range used {
+		if u {
+			m[k/8] |= 1 << (k % 8)
+		}
+	}
+	return m, nil
 }

@@ -41,7 +41,6 @@ const (
 const (
 	RTSBytes = 20
 	CTSBytes = 14
-	ACKBytes = 14
 )
 
 // FrameAirtime returns the on-air duration of a frame body of the given

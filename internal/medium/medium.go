@@ -130,13 +130,6 @@ func (m *Perfect) Recv(dst mac.Addr, timeout time.Duration) ([]byte, error) {
 	return head.frame, nil
 }
 
-// Pending reports how many frames are queued for dst (test hook).
-func (m *Perfect) Pending(dst mac.Addr) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.queues[dst])
-}
-
 // Close empties the medium; further Send/Recv fail with ErrClosed.
 func (m *Perfect) Close() error {
 	m.mu.Lock()

@@ -10,7 +10,7 @@ import (
 // The package logger: a slog text logger to stderr at Info by default.
 // Everything in the pipeline logs through obs.Logger() with consistent
 // keys (scenario, topology, scheme, seed), so experiments are grep-able
-// and a caller can swap the whole tree's output with SetLogger.
+// and a caller can redirect the whole tree's output with SetLogOutput.
 var (
 	logLevel  slog.LevelVar
 	logger    atomic.Pointer[slog.Logger]
@@ -25,14 +25,6 @@ func init() {
 // Logger returns the current structured logger.
 func Logger() *slog.Logger { return logger.Load() }
 
-// SetLogger replaces the logger wholesale (nil restores the default).
-func SetLogger(l *slog.Logger) {
-	if l == nil {
-		l = slog.New(slog.NewTextHandler(logOutput, &slog.HandlerOptions{Level: &logLevel}))
-	}
-	logger.Store(l)
-}
-
 // SetLogOutput redirects the default text logger to w.
 func SetLogOutput(w io.Writer) {
 	if w == nil {
@@ -41,10 +33,6 @@ func SetLogOutput(w io.Writer) {
 	logOutput = w
 	logger.Store(slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: &logLevel})))
 }
-
-// SetLogLevel adjusts the minimum level of the default logger (and any
-// handler sharing its LevelVar).
-func SetLogLevel(l slog.Level) { logLevel.Set(l) }
 
 // SetVerbose toggles debug-level logging — the CLIs' -v flag.
 func SetVerbose(on bool) {

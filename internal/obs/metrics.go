@@ -457,25 +457,6 @@ type Snapshot struct {
 	Timers     map[string]HistogramValue `json:"timers"`
 }
 
-// Names returns every metric name in the snapshot, sorted.
-func (s Snapshot) Names() []string {
-	out := make([]string, 0, len(s.Counters)+len(s.Gauges)+len(s.Histograms)+len(s.Timers))
-	for n := range s.Counters {
-		out = append(out, n)
-	}
-	for n := range s.Gauges {
-		out = append(out, n)
-	}
-	for n := range s.Histograms {
-		out = append(out, n)
-	}
-	for n := range s.Timers {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Snapshot reads every metric. Individual readings are atomic and each
 // histogram's Count equals the sum of its bucket Counts; the snapshot
 // as a whole is a moment-in-time view under concurrent writers.

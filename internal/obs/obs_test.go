@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -202,22 +201,6 @@ func TestLoggerLevels(t *testing.T) {
 	}
 	if !strings.Contains(out, "now visible") {
 		t.Fatal("verbose mode did not enable debug")
-	}
-}
-
-func TestSetLoggerAndLevel(t *testing.T) {
-	var buf bytes.Buffer
-	custom := slog.New(slog.NewJSONHandler(&buf, nil))
-	SetLogger(custom)
-	Logger().Info("json line")
-	SetLogger(nil)
-	if !strings.Contains(buf.String(), `"msg":"json line"`) {
-		t.Fatalf("custom logger not used: %q", buf.String())
-	}
-	SetLogLevel(slog.LevelWarn)
-	defer SetLogLevel(slog.LevelInfo)
-	if logLevel.Level() != slog.LevelWarn {
-		t.Fatal("SetLogLevel did not stick")
 	}
 }
 

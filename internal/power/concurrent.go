@@ -186,16 +186,18 @@ func iterate(senders []SenderCSI, cfg Config) *Result {
 		warm = nil
 	}
 	for i, s := range senders {
-		streams := s.Precoder.Streams
-		cur[i] = newPowerGrid(nSC, streams)
-		next[i] = newPowerGrid(nSC, streams)
+		cur[i] = newPowerGrid(nSC, s.Precoder.Streams)
+		next[i] = newPowerGrid(nSC, s.Precoder.Streams)
 		if warm != nil && !warmCopy(cur[i], warm.Tx[i].PowerMW) {
 			warm = nil // shape mismatch: fall back to the cold start for all
 		}
+	}
+	for i, s := range senders {
 		if warm == nil {
 			// Equal split start (the paper's assumption about the other
 			// sender's initial behaviour); same arithmetic as EqualSplit.
-			per := s.BudgetMW / float64(nSC*streams)
+			// A partially-copied warm start is overwritten here too.
+			per := s.BudgetMW / float64(nSC*s.Precoder.Streams)
 			for _, row := range cur[i] {
 				for st := range row {
 					row[st] = per
@@ -203,19 +205,6 @@ func iterate(senders []SenderCSI, cfg Config) *Result {
 			}
 		}
 		tx[i] = precoding.NewTransmission(s.Precoder, cur[i], cfg.Impairments)
-	}
-	if warm == nil && cfg.Warm != nil {
-		// A partially-copied warm start would be neither the previous
-		// solution nor equal split; re-seed every sender cold.
-		for i, s := range senders {
-			per := s.BudgetMW / float64(nSC*s.Precoder.Streams)
-			for _, row := range cur[i] {
-				for st := range row {
-					row[st] = per
-				}
-			}
-			tx[i] = precoding.NewTransmission(s.Precoder, cur[i], cfg.Impairments)
-		}
 	}
 	// warmHint returns the per-(sender, stream) drop hint for the
 	// warm-started inner scan, or -1 (no hint) when none was provided.
@@ -250,10 +239,11 @@ func iterate(senders []SenderCSI, cfg Config) *Result {
 		goodput := make([]float64, n)
 		for i, s := range senders {
 			cl, ct := crossFor(i)
-			rates[i] = StreamRatesForWS(ws, s.Own, tx[i], cl, ct, cfg.NoisePerSCMW)
+			sinrs := precoding.StreamSINRsWS(ws, s.Own, tx[i], cl, ct, cfg.NoisePerSCMW)
+			rates[i] = streamRates(ws, sinrs, tx[i].Precoder.Streams)
 			// Score with the joint (single-MCS-across-streams) rate the
 			// client will actually decode at.
-			goodput[i] = GoodputForWS(ws, s.Own, tx[i], cl, ct, cfg.NoisePerSCMW)
+			goodput[i] = ofdm.JointBestRate(sinrs).GoodputBps
 		}
 		return rates, goodput
 	}

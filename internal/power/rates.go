@@ -6,21 +6,27 @@ import (
 	"copa/internal/precoding"
 )
 
-// StreamRatesFor predicts the per-stream 802.11 rates a client achieves
-// for a given pair of concurrent transmissions: it computes post-MMSE
-// per-subcarrier SINRs over the supplied channels and picks the best MCS
-// per stream. cross/crossTx may be nil for a sole sender.
-func StreamRatesFor(own *channel.Link, tx *precoding.Transmission, cross *channel.Link, crossTx *precoding.Transmission, noisePerSCMW float64) []ofdm.StreamRate {
+// GoodputFor predicts the goodput a client achieves for a given pair of
+// concurrent transmissions under 802.11n's equal-modulation constraint:
+// a single MCS and decoder span all spatial streams, so every used
+// subcarrier–stream cell feeds one frame (§2.1). cross/crossTx may be nil
+// for a sole sender.
+func GoodputFor(own *channel.Link, tx *precoding.Transmission, cross *channel.Link, crossTx *precoding.Transmission, noisePerSCMW float64) float64 {
 	var ws precoding.Workspace
-	return StreamRatesForWS(&ws, own, tx, cross, crossTx, noisePerSCMW)
+	return GoodputForWS(&ws, own, tx, cross, crossTx, noisePerSCMW)
 }
 
-// StreamRatesForWS is StreamRatesFor with SINR scratch carved from ws.
-// The returned slice is heap-allocated and safe to retain; only the
-// intermediate SINR matrices live in ws.
-func StreamRatesForWS(ws *precoding.Workspace, own *channel.Link, tx *precoding.Transmission, cross *channel.Link, crossTx *precoding.Transmission, noisePerSCMW float64) []ofdm.StreamRate {
+// GoodputForWS is GoodputFor with SINR scratch carved from ws.
+func GoodputForWS(ws *precoding.Workspace, own *channel.Link, tx *precoding.Transmission, cross *channel.Link, crossTx *precoding.Transmission, noisePerSCMW float64) float64 {
 	sinrs := precoding.StreamSINRsWS(ws, own, tx, cross, crossTx, noisePerSCMW)
-	rates := make([]ofdm.StreamRate, tx.Precoder.Streams)
+	return ofdm.JointBestRate(sinrs).GoodputBps
+}
+
+// streamRates picks the best MCS for each stream of a SINR matrix
+// (rows are subcarriers, columns streams). The returned slice is
+// heap-allocated and safe to retain.
+func streamRates(ws *precoding.Workspace, sinrs [][]float64, streams int) []ofdm.StreamRate {
+	rates := make([]ofdm.StreamRate, streams)
 	col := ws.Float64s(len(sinrs))
 	for s := range rates {
 		for k := range sinrs {
@@ -31,37 +37,9 @@ func StreamRatesForWS(ws *precoding.Workspace, own *channel.Link, tx *precoding.
 	return rates
 }
 
-// ClientRateFor predicts the whole transmission's rate at a client under
-// 802.11n's equal-modulation constraint: a single MCS and decoder span
-// all spatial streams, so every used subcarrier–stream cell feeds one
-// frame (§2.1).
-func ClientRateFor(own *channel.Link, tx *precoding.Transmission, cross *channel.Link, crossTx *precoding.Transmission, noisePerSCMW float64) ofdm.JointRate {
-	var ws precoding.Workspace
-	sinrs := precoding.StreamSINRsWS(&ws, own, tx, cross, crossTx, noisePerSCMW)
-	return ofdm.JointBestRate(sinrs)
-}
-
-// GoodputFor is the goodput of the client's joint best rate.
-func GoodputFor(own *channel.Link, tx *precoding.Transmission, cross *channel.Link, crossTx *precoding.Transmission, noisePerSCMW float64) float64 {
-	return ClientRateFor(own, tx, cross, crossTx, noisePerSCMW).GoodputBps
-}
-
-// GoodputForWS is GoodputFor with SINR scratch carved from ws.
-func GoodputForWS(ws *precoding.Workspace, own *channel.Link, tx *precoding.Transmission, cross *channel.Link, crossTx *precoding.Transmission, noisePerSCMW float64) float64 {
-	sinrs := precoding.StreamSINRsWS(ws, own, tx, cross, crossTx, noisePerSCMW)
-	return ofdm.JointBestRate(sinrs).GoodputBps
-}
-
-// MultiDecoderGoodputFor predicts goodput when the receiver can run an
+// MultiDecoderGoodputForWS predicts goodput when the receiver can run an
 // independent rate (and decoder) per subcarrier — the Fig. 14
-// hypothetical. Same SINR model as GoodputFor, different rate mapping.
-func MultiDecoderGoodputFor(own *channel.Link, tx *precoding.Transmission, cross *channel.Link, crossTx *precoding.Transmission, noisePerSCMW float64) float64 {
-	var ws precoding.Workspace
-	return MultiDecoderGoodputForWS(&ws, own, tx, cross, crossTx, noisePerSCMW)
-}
-
-// MultiDecoderGoodputForWS is MultiDecoderGoodputFor with SINR scratch
-// carved from ws.
+// hypothetical. Same SINR model as GoodputForWS, different rate mapping.
 func MultiDecoderGoodputForWS(ws *precoding.Workspace, own *channel.Link, tx *precoding.Transmission, cross *channel.Link, crossTx *precoding.Transmission, noisePerSCMW float64) float64 {
 	sinrs := precoding.StreamSINRsWS(ws, own, tx, cross, crossTx, noisePerSCMW)
 	var total float64

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"copa/internal/channel"
+	"copa/internal/linalg"
 	"copa/internal/ofdm"
 	"copa/internal/rng"
 )
@@ -304,4 +305,47 @@ func BenchmarkStreamSINRs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		StreamSINRs(own, tx1, cross, tx2, channel.NoisePerSubcarrierMW())
 	}
+}
+
+// Omni returns a rank-1 "omnidirectional" precoder that drives only the
+// first antenna — the spatial profile of ITS control frames and of
+// single-antenna senders.
+func Omni(nTx, subcarriers int) *Precoder {
+	p := &Precoder{Streams: 1, PerSubcarrier: make([]*linalg.Matrix, subcarriers)}
+	for k := range p.PerSubcarrier {
+		m := linalg.NewMatrix(nTx, 1)
+		m.Set(0, 0, 1)
+		p.PerSubcarrier[k] = m
+	}
+	return p
+}
+
+// Verify checks precoder invariants: orthonormal columns on every
+// subcarrier. Returns the worst deviation found.
+func (p *Precoder) Verify() float64 {
+	worst := 0.0
+	for _, m := range p.PerSubcarrier {
+		g := m.H().Mul(m).Sub(linalg.Identity(m.Cols))
+		if d := g.MaxAbs(); d > worst {
+			worst = d
+		}
+	}
+	return worst
+}
+
+// ResidualAtVictim measures how much power leaks through truth when a
+// precoder computed from estimated CSI is applied and observed at the
+// unintended receiver: the per-subcarrier received interference power
+// (mW) for the given per-stream powers, summed over victim antennas.
+func ResidualAtVictim(trueCross *channel.Link, p *Precoder, powersMW []float64) []float64 {
+	out := make([]float64, len(trueCross.Subcarriers))
+	for k, h := range trueCross.Subcarriers {
+		g := h.Mul(p.Scaled(k, powersMW))
+		var pow float64
+		for _, v := range g.Data {
+			pow += real(v)*real(v) + imag(v)*imag(v)
+		}
+		out[k] = pow
+	}
+	return out
 }

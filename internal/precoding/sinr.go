@@ -118,18 +118,6 @@ func copyRows(rows [][]float64) [][]float64 {
 
 func conj(c complex128) complex128 { return complex(real(c), -imag(c)) }
 
-// SINRCoefficients linearizes the post-MMSE SINR around the current power
-// allocation: entry [k][s] is the SINR per milliwatt that stream s of the
-// own sender would see on subcarrier k, holding every other stream (own
-// and interfering) at its current power. SINR_s(p) = p · coef[k][s] while
-// the others are fixed — the quantity COPA's per-stream allocation step
-// (Fig. 6) needs. Unlike StreamSINRs it is defined even for currently
-// dropped subcarriers.
-func SINRCoefficients(own *channel.Link, ownTx *Transmission, cross *channel.Link, crossTx *Transmission, noisePerSCMW float64) [][]float64 {
-	var ws Workspace
-	return copyRows(SINRCoefficientsWS(&ws, own, ownTx, cross, crossTx, noisePerSCMW))
-}
-
 // EqualSplit builds the status-quo power allocation: the total budget
 // divided evenly across all subcarriers and streams.
 func EqualSplit(nSubcarriers, streams int, totalMW float64) [][]float64 {

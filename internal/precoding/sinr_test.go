@@ -28,7 +28,7 @@ func TestSINRCoefficientsLinearity(t *testing.T) {
 	tx1 := NewTransmission(p1, powers, imp)
 	tx2 := NewTransmission(p2, powers, imp)
 
-	coefs := SINRCoefficients(own, tx1, cross, tx2, noise)
+	coefs := SINRCoefficientsWS(&Workspace{}, own, tx1, cross, tx2, noise)
 	sinrs := StreamSINRs(own, tx1, cross, tx2, noise)
 	for k := 0; k < ofdm.NumSubcarriers; k += 7 {
 		for s := 0; s < 2; s++ {
@@ -51,7 +51,7 @@ func TestSINRCoefficientsDefinedForDropped(t *testing.T) {
 	powers := EqualSplit(ofdm.NumSubcarriers, 2, channel.BudgetForAntennasMW(4))
 	powers[5][0] = 0
 	tx := NewTransmission(p, powers, channel.PerfectHardware())
-	coefs := SINRCoefficients(own, tx, nil, nil, channel.NoisePerSubcarrierMW())
+	coefs := SINRCoefficientsWS(&Workspace{}, own, tx, nil, nil, channel.NoisePerSubcarrierMW())
 	if coefs[5][0] <= 0 {
 		t.Error("dropped subcarrier should still have a positive coefficient")
 	}

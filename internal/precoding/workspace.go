@@ -123,9 +123,15 @@ func StreamSINRsWS(ws *Workspace, own *channel.Link, ownTx *Transmission, cross 
 	return out
 }
 
-// SINRCoefficientsWS is SINRCoefficients with all scratch and result
-// storage carved from ws: allocation-free once ws has warmed up. The
-// returned matrix lives in ws (see Workspace ownership rules).
+// SINRCoefficientsWS linearizes the post-MMSE SINR around the current
+// power allocation: entry [k][s] is the SINR per milliwatt that stream s
+// of the own sender would see on subcarrier k, holding every other stream
+// (own and interfering) at its current power. SINR_s(p) = p · coef[k][s]
+// while the others are fixed — the quantity COPA's per-stream allocation
+// step (Fig. 6) needs. Unlike StreamSINRsWS it is defined even for
+// currently dropped subcarriers. All scratch and result storage is carved
+// from ws: allocation-free once ws has warmed up. The returned matrix
+// lives in ws (see Workspace ownership rules).
 func SINRCoefficientsWS(ws *Workspace, own *channel.Link, ownTx *Transmission, cross *channel.Link, crossTx *Transmission, noisePerSCMW float64) [][]float64 {
 	nSC := len(own.Subcarriers)
 	out := ws.FloatRows(nSC, ownTx.Precoder.Streams)

@@ -85,22 +85,5 @@ func (s *Source) CN(variance float64) complex128 {
 	return complex(sd*s.r.NormFloat64(), sd*s.r.NormFloat64())
 }
 
-// Rayleigh returns a Rayleigh-distributed magnitude whose underlying
-// complex Gaussian has total variance meanSquare (E[X²] = meanSquare).
-func (s *Source) Rayleigh(meanSquare float64) float64 {
-	// |CN(0, σ²)| is Rayleigh with E[|·|²] = σ².
-	u := s.r.Float64()
-	if u == 0 {
-		u = math.SmallestNonzeroFloat64
-	}
-	return math.Sqrt(-meanSquare * math.Log(u))
-}
-
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
-
-// Shuffle shuffles n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
-
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool { return s.r.Float64() < p }

@@ -33,7 +33,7 @@ func (b *backend) markDown() { b.healthy.Store(false) }
 func (b *backend) markUp()   { b.healthy.Store(true) }
 
 // poolState is the immutable (backends, ring) pair a request routes
-// against. SetBackends installs a fresh one atomically.
+// against. Swapping the backend set stores a fresh one atomically.
 type poolState struct {
 	backends []*backend
 	ring     *ring

@@ -167,18 +167,6 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// SetBackends swaps the backend set. Requests already dispatched keep
-// the old pool state; new requests route on the new ring. Backends
-// present in both sets keep their health state and connections.
-func (rt *Router) SetBackends(urls []string) error {
-	if len(urls) == 0 {
-		return errors.New("router: at least one backend required")
-	}
-	rt.state.Store(rt.newPoolState(urls, rt.state.Load()))
-	gBackends.Set(float64(len(urls)))
-	return nil
-}
-
 // Backends returns the current backend URLs in ring-build order.
 func (rt *Router) Backends() []string {
 	ps := rt.state.Load()
@@ -496,7 +484,15 @@ func (rt *Router) attempt(ctx context.Context, b *backend, hdr http.Header, body
 			req.Header.Set(h, v)
 		}
 	}
-	obs.InjectHTTP(ctx, req.Header)
+	// Propagate this attempt's span, not the request's, so the backend's
+	// span nests under the attempt that carried it, hedges included. The
+	// header comes straight from the span's context: deriving a context
+	// per attempt would cost two allocations on the cached-hit path.
+	if tp := sp.Context().Traceparent(); tp != "" {
+		req.Header.Set(obs.TraceparentHeader, tp)
+	} else {
+		obs.InjectHTTP(ctx, req.Header)
+	}
 	resp, err := b.client.Do(req)
 	if err == nil {
 		res.status = resp.StatusCode

@@ -3,6 +3,7 @@ package router
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -372,7 +373,8 @@ func TestRouterSetBackends(t *testing.T) {
 
 // TestRouterTracePropagation: a caller-supplied traceparent flows
 // through the router so client, router, and backend spans share one
-// TraceID.
+// TraceID, and the backend's parent span is the router.attempt that
+// carried the request.
 func TestRouterTracePropagation(t *testing.T) {
 	var backendTraceparent string
 	var mu sync.Mutex
@@ -409,6 +411,21 @@ func TestRouterTracePropagation(t *testing.T) {
 	defer mu.Unlock()
 	if !strings.Contains(backendTraceparent, wantTrace) {
 		t.Errorf("backend saw traceparent %q, want TraceID %s", backendTraceparent, wantTrace)
+	}
+	sent, ok := obs.ParseTraceparent(backendTraceparent)
+	if !ok {
+		t.Fatalf("backend traceparent %q does not parse", backendTraceparent)
+	}
+	spans := map[string]obs.SpanRecord{}
+	for _, sp := range obs.Tracing().Recent(0) {
+		if sp.Trace == wantTrace {
+			spans[sp.ID] = sp
+		}
+	}
+	if attempt := spans[sent.SpanID.String()]; attempt.Name != "router.attempt" {
+		t.Errorf("backend parent span %s is %q, want router.attempt", sent.SpanID, attempt.Name)
+	} else if parent := spans[attempt.Parent]; parent.Name != "router.allocate" {
+		t.Errorf("router.attempt parent is %q, want router.allocate", parent.Name)
 	}
 }
 
@@ -486,4 +503,16 @@ func TestRouterActiveHealth(t *testing.T) {
 	if got := rt.Stats().Healthy; got != 2 {
 		t.Fatalf("healthy = %d after killing one of three backends, want 2", got)
 	}
+}
+
+// SetBackends swaps the backend set. Requests already dispatched keep
+// the old pool state; new requests route on the new ring. Backends
+// present in both sets keep their health state and connections.
+func (rt *Router) SetBackends(urls []string) error {
+	if len(urls) == 0 {
+		return errors.New("router: at least one backend required")
+	}
+	rt.state.Store(rt.newPoolState(urls, rt.state.Load()))
+	gBackends.Set(float64(len(urls)))
+	return nil
 }

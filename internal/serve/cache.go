@@ -46,11 +46,9 @@ func (c *lruCache) get(k key) (*Result, bool) {
 	e, ok := c.items[k]
 	if !ok {
 		c.misses++
-		gCacheMisses.Set(float64(c.misses))
 		return nil, false
 	}
 	c.hits++
-	gCacheHits.Set(float64(c.hits))
 	c.ll.MoveToFront(e)
 	return e.Value.(*lruEntry).res, true
 }
@@ -72,7 +70,6 @@ func (c *lruCache) put(k key, res *Result) {
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*lruEntry).k)
 		c.evictions++
-		gCacheEvictions.Set(float64(c.evictions))
 		mCacheEvictions.Inc()
 	}
 	gCacheEntries.Set(float64(len(c.items)))

@@ -17,15 +17,10 @@ var (
 	mCacheEvictions = obs.C("copa.serve.cache_evictions")
 	mInflightDedup  = obs.C("copa.serve.inflight_dedup")
 
-	// Per-shard cache gauges: the instance-scoped readings /v1/healthz
-	// reports, mirrored onto /metrics so a fronting router's shard
-	// balance is scrapeable. (The copa.serve.cache_* counters above
-	// aggregate across every Server in the process; these track the
-	// result cache the HTTP daemon serves from.)
-	gCacheHits      = obs.G("copa.serve.cache.hits")
-	gCacheMisses    = obs.G("copa.serve.cache.misses")
-	gCacheEvictions = obs.G("copa.serve.cache.evictions")
-	gCacheEntries   = obs.G("copa.serve.cache.entries")
+	// Entries in the result cache, mirrored onto /metrics so a fronting
+	// router's shard balance is scrapeable. Hits, misses and evictions
+	// are the counters above; /v1/healthz reports them per instance.
+	gCacheEntries = obs.G("copa.serve.cache.entries")
 
 	// Load shedding, split by cause: queue full at admission, deadline
 	// expired while queued, server draining.

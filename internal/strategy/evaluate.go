@@ -99,15 +99,6 @@ func NewEvaluatorFromCSI(sc channel.Scenario, est [2][2]*channel.Link, imp chann
 	return ev
 }
 
-// MeasureOnDeployment measures the effective per-client throughputs a pair
-// of transmissions achieves on a ground-truth deployment, with the given
-// airtime model. Used to score protocol-negotiated transmissions after
-// the fact.
-func (ev *Evaluator) MeasureOnDeployment(dep *channel.Deployment, tx [2]*precoding.Transmission, concurrent bool, schemeOverhead float64) [2]float64 {
-	l := links{{dep.H[0][0], dep.H[0][1]}, {dep.H[1][0], dep.H[1][1]}}
-	return ev.pairThroughputs(l, tx, concurrent, schemeOverhead, false)
-}
-
 // UseWorkspace installs a caller-owned scratch arena in place of the
 // lazily created private one, so a worker serving many evaluations can
 // reuse one arena's chunks across evaluators (internal/serve does this

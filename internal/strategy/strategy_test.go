@@ -288,3 +288,12 @@ func TestKindStringsComplete(t *testing.T) {
 		t.Error("unknown mode should read as max")
 	}
 }
+
+// MeasureOnDeployment measures the effective per-client throughputs a pair
+// of transmissions achieves on a ground-truth deployment, with the given
+// airtime model. Used to score protocol-negotiated transmissions after
+// the fact.
+func (ev *Evaluator) MeasureOnDeployment(dep *channel.Deployment, tx [2]*precoding.Transmission, concurrent bool, schemeOverhead float64) [2]float64 {
+	l := links{{dep.H[0][0], dep.H[0][1]}, {dep.H[1][0], dep.H[1][1]}}
+	return ev.pairThroughputs(l, tx, concurrent, schemeOverhead, false)
+}

@@ -47,11 +47,6 @@ type ScenarioResult struct {
 	PerTopology map[string][]float64
 }
 
-// MeanMbps returns a scheme's mean aggregate throughput in Mb/s.
-func (r *ScenarioResult) MeanMbps(scheme string) float64 {
-	return Mean(r.PerTopology[scheme]) / 1e6
-}
-
 // Config parameterizes a scenario run.
 type Config struct {
 	Seed        int64

@@ -32,7 +32,7 @@ func TestCampaignMatchesSerialHarness(t *testing.T) {
 		Scenario:     channel.Scenario1x1,
 		Topologies:   topologies,
 		Shards:       3,
-		Profiles:     campaign.DefaultProfiles(),
+		Profiles:     []campaign.Profile{{Name: "default", Impairments: channel.DefaultImpairments()}},
 		AgeBuckets:   1,
 		SkipCOPAPlus: true,
 	}
@@ -96,7 +96,7 @@ func TestExportCampaignCSV(t *testing.T) {
 		Scenario:     channel.Scenario1x1,
 		Topologies:   4,
 		Shards:       2,
-		Profiles:     campaign.DefaultProfiles(),
+		Profiles:     []campaign.Profile{{Name: "default", Impairments: channel.DefaultImpairments()}},
 		AgeBuckets:   2,
 		SkipCOPAPlus: true,
 	}

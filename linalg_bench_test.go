@@ -50,7 +50,7 @@ func BenchmarkEigHermitianBatch(b *testing.B) {
 				batch := ws.HermitianBatch(n, count)
 				copy(batch.Data, src)
 				res := linalg.EigHermitianBatch(&ws, &batch)
-				return res.Val(0, 0)
+				return res.Vals[0]
 			}
 			run() // warm the arena so steady state is measured
 
