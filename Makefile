@@ -26,11 +26,14 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the conformance gate: vet, the pinned static analyzers, and
-# the repo lints (metric naming convention over the full registry; no
-# exported internal/ identifier that only tests use).
+# check is the conformance gate: vet, the pinned static analyzers, the
+# repo lints (metric naming convention over the full registry; no
+# exported internal/ identifier that only tests use), and the nested
+# perfbench module, which imports internal/ packages but which root
+# `go build ./...` and `go test ./...` never compile.
 check: vet staticcheck govulncheck
 	$(GO) test -run 'TestMetricNameLint|TestExportedAPILint' .
+	$(GO) -C perfbench vet . && $(GO) -C perfbench test -short .
 
 # race includes the obs registry stress test (internal/obs/stress_test.go).
 race:

@@ -15,7 +15,8 @@
 // All single-stream allocators work on a vector of per-subcarrier SINR
 // coefficients: coef[k] is the linear SINR stream power p_k buys per
 // milliwatt on subcarrier k with everything else held fixed (see
-// precoding.SINRCoefficientsWS).
+// precoding.StreamSINRsWS, which writes them from the same MMSE pass
+// that scores the state).
 package power
 
 import (
@@ -80,7 +81,7 @@ func NoPA(coef []float64, budgetMW float64) Allocation {
 // interference-aware coefficients it is one Equi-SINR step.
 func EquiSNR(coef []float64, budgetMW float64) Allocation {
 	var ws linalg.Workspace
-	a := EquiSNRWS(&ws, coef, budgetMW)
+	a := EquiSNRWS(&ws, coef, budgetMW, -1)
 	a.PowerMW = append([]float64(nil), a.PowerMW...)
 	return a
 }
@@ -88,8 +89,29 @@ func EquiSNR(coef []float64, budgetMW float64) Allocation {
 // EquiSNRWS is EquiSNR with all scratch and the returned power vector
 // carved from ws: allocation-free once ws has warmed up. The returned
 // Allocation.PowerMW lives in ws (see linalg.Workspace ownership rules).
-func EquiSNRWS(ws *linalg.Workspace, coef []float64, budgetMW float64) Allocation {
+//
+// warmDrop, when ≥ 0, is a previous solve's Allocation.Dropped for the
+// same stream. The online re-allocation loop (internal/drift) re-solves
+// streams whose channel has barely moved, so the previous winner is an
+// excellent incumbent: seeding the scan with it lets the goodput-ceiling
+// prune reject most drop counts at once. Any hint value, in range or not,
+// yields the identical allocation; a good hint only makes the scan
+// cheaper. Pass -1 for no hint.
+//
+// Equivalence argument (enforced bit-for-bit by warm_test.go): the scan
+// visits drop counts ascending and returns the smallest drop count
+// achieving the maximum goodput. Without an incumbent the update is a
+// strict >, which keeps the first maximum. A hinted incumbent is
+// replaced on strictly better goodput, or on equal goodput at a smaller
+// drop; the scan stops once the rate ceiling falls below the incumbent,
+// or ties it with no smaller drop left to visit. Every candidate's power
+// vector is a pure function of (coef, budget, drop), so the returned
+// allocation does not depend on the hint.
+func EquiSNRWS(ws *linalg.Workspace, coef []float64, budgetMW float64, warmDrop int) Allocation {
 	mEquiSNRCalls.Inc()
+	if warmDrop >= 0 {
+		mEquiSNRWarmCalls.Inc()
+	}
 	n := len(coef)
 	order := ws.Ints(n)
 	for i := range order {
@@ -100,7 +122,22 @@ func EquiSNRWS(ws *linalg.Workspace, coef []float64, budgetMW float64) Allocatio
 	best := Allocation{PowerMW: ws.Float64s(n)}
 	powers := ws.Float64s(n)
 	sinrs := ws.Float64s(n)
-	for drop := 0; drop < n; drop++ {
+	// bestDrop is the drop count that produced the incumbent, -1 while
+	// there is none. Pass i = -1 visits the hint, if in range, before the
+	// ascending scan; with no incumbent yet the prune cannot fire on it
+	// (the ceiling of a usable candidate is positive) and it is kept iff
+	// its goodput is positive.
+	bestDrop := -1
+	for i := -1; i < n; i++ {
+		drop := i
+		if i < 0 {
+			if warmDrop < 0 || warmDrop >= n {
+				continue
+			}
+			drop = warmDrop
+		} else if drop == bestDrop {
+			continue // the incumbent itself; re-evaluating cannot change it
+		}
 		// Equalize SINR on the kept subcarriers: p_k = T/coef_k with
 		// T = budget / Σ 1/coef_k.
 		var invSum float64
@@ -114,12 +151,12 @@ func EquiSNRWS(ws *linalg.Workspace, coef []float64, budgetMW float64) Allocatio
 		if usable == 0 {
 			continue
 		}
-		// Dropping more subcarriers only shrinks the zero-FER rate ceiling
-		// (usable is non-increasing in drop), so once even the top MCS at
-		// zero FER cannot strictly beat the incumbent, no later drop count
-		// can either — every remaining candidate would be rejected by the
-		// strict > below. Skipping them changes nothing but the wall clock.
-		if ofdm.StreamGoodputCeiling(usable) <= best.Rate.GoodputBps {
+		// Prune: the zero-FER ceiling bounds this and every later drop
+		// count (usable is non-increasing in drop). Below the incumbent
+		// nothing can win; at the incumbent's exact goodput only a
+		// smaller drop could, so past bestDrop a tie is unreachable too.
+		ceiling := ofdm.StreamGoodputCeiling(usable)
+		if ceiling < best.Rate.GoodputBps || (ceiling == best.Rate.GoodputBps && drop > bestDrop) {
 			break
 		}
 		target := budgetMW / invSum
@@ -131,10 +168,12 @@ func EquiSNRWS(ws *linalg.Workspace, coef []float64, budgetMW float64) Allocatio
 		}
 		predictedSINRsInto(sinrs, powers, coef)
 		rate := ofdm.BestRate(sinrs)
-		if rate.GoodputBps > best.Rate.GoodputBps {
+		if rate.GoodputBps > best.Rate.GoodputBps ||
+			(rate.GoodputBps == best.Rate.GoodputBps && drop < bestDrop) {
 			copy(best.PowerMW, powers)
 			best.Rate = rate
 			best.Dropped = n - usable
+			bestDrop = drop
 		}
 	}
 	if best.Rate.GoodputBps == 0 {

@@ -60,9 +60,9 @@ type Config struct {
 	// below the first re-allocated sweep.
 	Warm *Result
 	// WarmDrops[i][s], when non-nil, is sender i stream s's previous
-	// Allocation.Dropped; the per-stream inner solves then run the
-	// warm-started Equi-SNR scan (EquiSNRWarmWS — bit-identical results,
-	// cheaper scan). Entries < 0 mean "no hint" for that stream. The
+	// Allocation.Dropped; the per-stream inner solves pass it to
+	// EquiSNRWS as the drop hint (bit-identical results, cheaper scan).
+	// An entry < 0 means "no hint" for that stream's first sweep. The
 	// entries are refreshed in place after every Jacobi sweep, so a
 	// caller that keeps the slice across epochs hands the next solve
 	// up-to-date hints for free. Only consulted when Inner is nil.
@@ -80,8 +80,8 @@ type Config struct {
 }
 
 // DefaultConfig returns the standard COPA allocation configuration.
-// Inner is left nil, which means EquiSNR: keeping the default as nil lets
-// the iteration take the allocation-free EquiSNRWS fast path.
+// Inner is left nil, which means Equi-SNR: the iteration then calls the
+// allocation-free EquiSNRWS with the WarmDrops hints.
 func DefaultConfig() Config {
 	return Config{
 		Impairments:  channel.DefaultImpairments(),
@@ -234,12 +234,17 @@ func iterate(senders []SenderCSI, cfg Config) *Result {
 		return senders[j].Cross, tx[j]
 	}
 
+	// coefs[i] holds sender i's SINR coefficients for the state evaluate
+	// last scored: the next Jacobi step allocates against them, so one
+	// MMSE pass per sender serves both. iterate solves one or two senders.
+	var coefs [2][][]float64
 	evaluate := func() ([][]ofdm.StreamRate, []float64) {
 		rates := make([][]ofdm.StreamRate, n)
 		goodput := make([]float64, n)
 		for i, s := range senders {
 			cl, ct := crossFor(i)
-			sinrs := precoding.StreamSINRsWS(ws, s.Own, tx[i], cl, ct, cfg.NoisePerSCMW)
+			coefs[i] = ws.FloatRows(nSC, s.Precoder.Streams)
+			sinrs := precoding.StreamSINRsWS(ws, s.Own, tx[i], cl, ct, cfg.NoisePerSCMW, coefs[i])
 			rates[i] = streamRates(ws, sinrs, tx[i].Precoder.Streams)
 			// Score with the joint (single-MCS-across-streams) rate the
 			// client will actually decode at.
@@ -277,22 +282,16 @@ func iterate(senders []SenderCSI, cfg Config) *Result {
 	sinceBest := 0
 
 	for iter := 1; iter <= cfg.MaxIters; iter++ {
-		// Everything carved last iteration (coefs, SINR scratch, inner
-		// allocations) is dead: live powers sit in cur/next and best holds
-		// deep copies.
-		ws.Reset()
 		// Jacobi step: every stream of every sender re-allocates against
 		// the interference of the *current* state; all updates then land
 		// together.
 		var maxDelta float64
 		for i, s := range senders {
-			cl, ct := crossFor(i)
-			coefs := precoding.SINRCoefficientsWS(ws, s.Own, tx[i], cl, ct, cfg.NoisePerSCMW)
 			streams := s.Precoder.Streams
 			perStream := s.BudgetMW / float64(streams)
 			np := next[i]
 			if cfg.JointInner != nil && streams > 1 {
-				jp := cfg.JointInner(coefs, perStream)
+				jp := cfg.JointInner(coefs[i], perStream)
 				for k := range jp {
 					for st := range jp[k] {
 						np[k][st] = jp[k][st]
@@ -304,18 +303,15 @@ func iterate(senders []SenderCSI, cfg Config) *Result {
 			} else {
 				col := ws.Float64s(nSC)
 				for st := 0; st < streams; st++ {
-					for k := range coefs {
-						col[k] = coefs[k][st]
+					for k, row := range coefs[i] {
+						col[k] = row[st]
 					}
 					var alloc Allocation
-					switch {
-					case cfg.Inner != nil:
+					if cfg.Inner != nil {
 						alloc = cfg.Inner(col, perStream)
-					case warmHint(i, st) >= 0:
-						alloc = EquiSNRWarmWS(&ws.Workspace, col, perStream, warmHint(i, st))
+					} else {
+						alloc = EquiSNRWS(&ws.Workspace, col, perStream, warmHint(i, st))
 						setHint(i, st, alloc.Dropped)
-					default:
-						alloc = EquiSNRWS(&ws.Workspace, col, perStream)
 					}
 					for k := range np {
 						np[k][st] = alloc.PowerMW[k]
@@ -330,6 +326,10 @@ func iterate(senders []SenderCSI, cfg Config) *Result {
 			cur[i], next[i] = next[i], cur[i]
 			tx[i] = precoding.NewTransmission(senders[i].Precoder, cur[i], cfg.Impairments)
 		}
+		// Everything carved since the last reset (the scored state's
+		// coefs and SINRs, the inner allocations) is dead: live powers
+		// sit in cur/next and best holds deep copies.
+		ws.Reset()
 		converged := maxDelta < 1e-9*senders[0].BudgetMW
 		if snapshot(iter, converged) {
 			sinceBest = 0

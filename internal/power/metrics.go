@@ -8,8 +8,8 @@ var (
 	// mEquiSNRCalls counts Algorithm 1 invocations (one per stream per
 	// Equi-SINR iteration).
 	mEquiSNRCalls = obs.C("copa.power.equisnr_calls")
-	// mEquiSNRWarmCalls counts the warm-started subset of Equi-SNR
-	// invocations (the drift controller's incremental re-allocations).
+	// mEquiSNRWarmCalls counts the Equi-SNR invocations given a drop
+	// hint ≥ 0 (the drift controller's incremental re-allocations).
 	mEquiSNRWarmCalls = obs.C("copa.power.equisnr_warm_calls")
 	// mDropCount is the distribution of dropped subcarriers per
 	// Equi-SNR allocation (0..NumSubcarriers).

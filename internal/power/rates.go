@@ -18,7 +18,7 @@ func GoodputFor(own *channel.Link, tx *precoding.Transmission, cross *channel.Li
 
 // GoodputForWS is GoodputFor with SINR scratch carved from ws.
 func GoodputForWS(ws *precoding.Workspace, own *channel.Link, tx *precoding.Transmission, cross *channel.Link, crossTx *precoding.Transmission, noisePerSCMW float64) float64 {
-	sinrs := precoding.StreamSINRsWS(ws, own, tx, cross, crossTx, noisePerSCMW)
+	sinrs := precoding.StreamSINRsWS(ws, own, tx, cross, crossTx, noisePerSCMW, nil)
 	return ofdm.JointBestRate(sinrs).GoodputBps
 }
 
@@ -41,7 +41,7 @@ func streamRates(ws *precoding.Workspace, sinrs [][]float64, streams int) []ofdm
 // independent rate (and decoder) per subcarrier — the Fig. 14
 // hypothetical. Same SINR model as GoodputForWS, different rate mapping.
 func MultiDecoderGoodputForWS(ws *precoding.Workspace, own *channel.Link, tx *precoding.Transmission, cross *channel.Link, crossTx *precoding.Transmission, noisePerSCMW float64) float64 {
-	sinrs := precoding.StreamSINRsWS(ws, own, tx, cross, crossTx, noisePerSCMW)
+	sinrs := precoding.StreamSINRsWS(ws, own, tx, cross, crossTx, noisePerSCMW, nil)
 	var total float64
 	col := ws.Float64s(len(sinrs))
 	for s := 0; s < tx.Precoder.Streams; s++ {

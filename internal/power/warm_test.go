@@ -11,8 +11,9 @@ import (
 
 // warmCoefCases generates coefficient vectors spanning the regimes the
 // warm scan's prune and tie rules must navigate: healthy spreads, zero
-// entries (undecodable subcarriers), near-uniform ties, and vectors so
-// weak every candidate has zero goodput (the equal-split fallback).
+// entries (undecodable subcarriers), strong vectors whose optimum sits at
+// the rate ceiling, near-uniform ties, and vectors so weak every
+// candidate has zero goodput (the equal-split fallback).
 func warmCoefCases(n int) [][]float64 {
 	var cases [][]float64
 	for seed := int64(1); seed <= 6; seed++ {
@@ -28,6 +29,18 @@ func warmCoefCases(n int) [][]float64 {
 			holes[i] = 0
 		}
 		cases = append(cases, holes)
+
+		// strong reaches the top MCS once its few faint subcarriers are
+		// dropped, so the best goodput sits just under the rate ceiling
+		// and the prune decides at its boundary.
+		strong := make([]float64, n)
+		for i := range strong {
+			strong[i] = 2000 + 8000*src.Float64()
+			if i%11 == 5 {
+				strong[i] = 0.5 * src.Float64()
+			}
+		}
+		cases = append(cases, strong)
 
 		weak := make([]float64, n)
 		for i := range weak {
@@ -63,20 +76,65 @@ func allocsEqual(a, b Allocation) bool {
 	return true
 }
 
+// equiSNRExhaustive is the unpruned reference for Algorithm 1: it
+// evaluates every drop count, keeps the first maximum (strict >), and
+// falls back to equal split when nothing decodes.
+func equiSNRExhaustive(coef []float64, budgetMW float64) Allocation {
+	n := len(coef)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	linalg.SortOrderAsc(order, coef)
+	best := Allocation{}
+	for drop := 0; drop < n; drop++ {
+		var invSum float64
+		usable := 0
+		for _, k := range order[drop:] {
+			if coef[k] > 0 {
+				invSum += 1 / coef[k]
+				usable++
+			}
+		}
+		if usable == 0 {
+			continue
+		}
+		target := budgetMW / invSum
+		powers := make([]float64, n)
+		for _, k := range order[drop:] {
+			if coef[k] > 0 {
+				powers[k] = target / coef[k]
+			}
+		}
+		if rate := ofdm.BestRate(predictedSINRs(powers, coef)); rate.GoodputBps > best.Rate.GoodputBps {
+			best = Allocation{PowerMW: powers, Rate: rate, Dropped: n - usable}
+		}
+	}
+	if best.Rate.GoodputBps == 0 {
+		return NoPA(coef, budgetMW)
+	}
+	return best
+}
+
 // TestEquiSNRWarmMatchesCold is the allocator-level half of the
-// warm-start equivalence property: for every coefficient vector and
-// EVERY hint value — in range, out of range, negative — the warm scan
-// must return an allocation bit-identical to the cold scan's.
+// warm-start equivalence property: for every coefficient vector the
+// no-hint scan must match the unpruned reference, and EVERY hint value —
+// in range, out of range, negative — must return an allocation
+// bit-identical to the no-hint scan's.
 func TestEquiSNRWarmMatchesCold(t *testing.T) {
 	var ws linalg.Workspace
 	budget := channel.TotalTxBudgetMW() / 2
 	for _, n := range []int{1, 4, ofdm.NumSubcarriers} {
 		for ci, coef := range warmCoefCases(n) {
 			ws.Reset()
-			cold := cloneAlloc(EquiSNRWS(&ws, coef, budget))
+			cold := cloneAlloc(EquiSNRWS(&ws, coef, budget, -1))
+			if ref := equiSNRExhaustive(coef, budget); !allocsEqual(cold, ref) {
+				t.Fatalf("n=%d case=%d: pruned scan diverged from the exhaustive reference\nscan: drop=%d rate=%+v\nref:  drop=%d rate=%+v",
+					n, ci, cold.Dropped, cold.Rate, ref.Dropped, ref.Rate)
+			}
 			for hint := -2; hint <= n+1; hint++ {
 				ws.Reset()
-				warm := EquiSNRWarmWS(&ws, coef, budget, hint)
+				warm := EquiSNRWS(&ws, coef, budget, hint)
 				if !allocsEqual(cold, warm) {
 					t.Fatalf("n=%d case=%d hint=%d: warm diverged from cold\ncold: drop=%d rate=%+v\nwarm: drop=%d rate=%+v",
 						n, ci, hint, cold.Dropped, cold.Rate, warm.Dropped, warm.Rate)

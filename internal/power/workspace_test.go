@@ -26,7 +26,7 @@ func TestAllocatorAllocBudgets(t *testing.T) {
 		name string
 		run  func(ws *linalg.Workspace) Allocation
 	}{
-		{"EquiSNRWS", func(ws *linalg.Workspace) Allocation { return EquiSNRWS(ws, coef, budget) }},
+		{"EquiSNRWS", func(ws *linalg.Workspace) Allocation { return EquiSNRWS(ws, coef, budget, -1) }},
 		{"WaterfillWS", func(ws *linalg.Workspace) Allocation { return WaterfillWS(ws, coef, budget) }},
 	}
 	for _, a := range allocators {
@@ -52,7 +52,7 @@ func TestEquiSNRWSMatchesEquiSNR(t *testing.T) {
 		coef := randomCoef(seed, 52)
 		want := EquiSNR(coef, 100)
 		ws.Reset()
-		got := EquiSNRWS(&ws, coef, 100)
+		got := EquiSNRWS(&ws, coef, 100, -1)
 		if got.Dropped != want.Dropped || got.Rate != want.Rate {
 			t.Fatalf("seed %d: rate/dropped mismatch: %+v vs %+v", seed, got.Rate, want.Rate)
 		}

@@ -102,10 +102,15 @@ func Nulling(own, cross *channel.Link, streams int) (*Precoder, error) {
 // Scaled returns the precoding matrix for subcarrier k with column i
 // scaled to carry powersMW[i] milliwatts (amplitude √p).
 func (p *Precoder) Scaled(k int, powersMW []float64) *linalg.Matrix {
-	if len(powersMW) != p.Streams {
+	return scaleColumns(p.PerSubcarrier[k].Clone(), powersMW)
+}
+
+// scaleColumns scales column c of m in place to carry powersMW[c]
+// milliwatts (amplitude √p) and returns m.
+func scaleColumns(m *linalg.Matrix, powersMW []float64) *linalg.Matrix {
+	if len(powersMW) != m.Cols {
 		panic("precoding: power vector length mismatch")
 	}
-	m := p.PerSubcarrier[k].Clone()
 	for c, pw := range powersMW {
 		amp := complex(math.Sqrt(math.Max(0, pw)), 0)
 		for r := 0; r < m.Rows; r++ {

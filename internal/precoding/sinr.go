@@ -104,7 +104,7 @@ func (t *Transmission) TotalPowerMW() float64 {
 // use.
 func StreamSINRs(own *channel.Link, ownTx *Transmission, cross *channel.Link, crossTx *Transmission, noisePerSCMW float64) [][]float64 {
 	var ws Workspace
-	return copyRows(StreamSINRsWS(&ws, own, ownTx, cross, crossTx, noisePerSCMW))
+	return copyRows(StreamSINRsWS(&ws, own, ownTx, cross, crossTx, noisePerSCMW, nil))
 }
 
 // copyRows deep-copies a workspace-carved row matrix onto the heap.

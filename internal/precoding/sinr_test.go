@@ -9,6 +9,15 @@ import (
 	"copa/internal/rng"
 )
 
+// sinrCoefficients returns the SINR coefficients StreamSINRsWS writes
+// when asked for them.
+func sinrCoefficients(own *channel.Link, ownTx *Transmission, cross *channel.Link, crossTx *Transmission, noisePerSCMW float64) [][]float64 {
+	var ws Workspace
+	coefs := ws.FloatRows(len(own.Subcarriers), ownTx.Precoder.Streams)
+	StreamSINRsWS(&ws, own, ownTx, cross, crossTx, noisePerSCMW, coefs)
+	return coefs
+}
+
 func TestSINRCoefficientsLinearity(t *testing.T) {
 	// SINR(p) must equal p · coef while other powers are held fixed.
 	src := rng.New(41)
@@ -28,7 +37,7 @@ func TestSINRCoefficientsLinearity(t *testing.T) {
 	tx1 := NewTransmission(p1, powers, imp)
 	tx2 := NewTransmission(p2, powers, imp)
 
-	coefs := SINRCoefficientsWS(&Workspace{}, own, tx1, cross, tx2, noise)
+	coefs := sinrCoefficients(own, tx1, cross, tx2, noise)
 	sinrs := StreamSINRs(own, tx1, cross, tx2, noise)
 	for k := 0; k < ofdm.NumSubcarriers; k += 7 {
 		for s := 0; s < 2; s++ {
@@ -51,9 +60,55 @@ func TestSINRCoefficientsDefinedForDropped(t *testing.T) {
 	powers := EqualSplit(ofdm.NumSubcarriers, 2, channel.BudgetForAntennasMW(4))
 	powers[5][0] = 0
 	tx := NewTransmission(p, powers, channel.PerfectHardware())
-	coefs := SINRCoefficientsWS(&Workspace{}, own, tx, nil, nil, channel.NoisePerSubcarrierMW())
+	coefs := sinrCoefficients(own, tx, nil, nil, channel.NoisePerSubcarrierMW())
 	if coefs[5][0] <= 0 {
 		t.Error("dropped subcarrier should still have a positive coefficient")
+	}
+}
+
+// TestStreamSINRsUnchangedByCoefficients: asking StreamSINRsWS for the
+// coefficients as well must leave every SINR entry bit-identical to the
+// SINR-only pass, dropped entries included, with and without a cross
+// interferer.
+func TestStreamSINRsUnchangedByCoefficients(t *testing.T) {
+	own := testLink(47, 2, 4, -58)
+	cross := testLink(48, 2, 4, -64)
+	p1, err := Beamforming(own, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := Nulling(cross, own, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imp := channel.DefaultImpairments()
+	noise := channel.NoisePerSubcarrierMW()
+	powers := EqualSplit(ofdm.NumSubcarriers, 2, channel.BudgetForAntennasMW(4))
+	powers[3][1] = 0
+	powers[9][0], powers[9][1] = 0, 0
+	tx1 := NewTransmission(p1, powers, imp)
+	tx2 := NewTransmission(p2, EqualSplit(ofdm.NumSubcarriers, 2, channel.BudgetForAntennasMW(4)), imp)
+
+	for _, tc := range []struct {
+		name    string
+		cross   *channel.Link
+		crossTx *Transmission
+	}{{"solo", nil, nil}, {"cross", cross, tx2}} {
+		var ws Workspace
+		want := copyRows(StreamSINRsWS(&ws, own, tx1, tc.cross, tc.crossTx, noise, nil))
+		ws.Reset()
+		coefs := ws.FloatRows(ofdm.NumSubcarriers, 2)
+		got := StreamSINRsWS(&ws, own, tx1, tc.cross, tc.crossTx, noise, coefs)
+		for k := range want {
+			for s := range want[k] {
+				if math.Float64bits(got[k][s]) != math.Float64bits(want[k][s]) {
+					t.Fatalf("%s k=%d s=%d: SINR %v with coefficients, %v without", tc.name, k, s, got[k][s], want[k][s])
+				}
+			}
+		}
+		if got[3][1] != Dropped || got[9][0] != Dropped || coefs[3][1] <= 0 || coefs[9][0] <= 0 {
+			t.Fatalf("%s: dropped cells: SINR %v/%v coef %v/%v", tc.name, got[3][1], got[9][0], coefs[3][1], coefs[9][0])
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package precoding
 
 import (
 	"fmt"
-	"math"
 
 	"copa/internal/channel"
 	"copa/internal/linalg"
@@ -23,28 +22,13 @@ type Workspace struct {
 	linalg.Workspace
 }
 
-// scaledWS is Precoder.Scaled with the result carved from ws.
-func (p *Precoder) scaledWS(ws *Workspace, k int, powersMW []float64) *linalg.Matrix {
-	if len(powersMW) != p.Streams {
-		panic("precoding: power vector length mismatch")
-	}
-	m := ws.Clone(p.PerSubcarrier[k])
-	for c, pw := range powersMW {
-		amp := complex(math.Sqrt(math.Max(0, pw)), 0)
-		for r := 0; r < m.Rows; r++ {
-			m.Set(r, c, m.At(r, c)*amp)
-		}
-	}
-	return m
-}
-
 // covarianceWS carves this transmission's received covariance at a
-// receiver with true channel h (Nr×Nt) on subcarrier k from ws. Same
-// arithmetic as covariance.
-func (t *Transmission) covarianceWS(ws *Workspace, h *linalg.Matrix, k int) *linalg.Matrix {
-	scaled := t.Precoder.scaledWS(ws, k, t.PowerMW[k])
-	g := ws.Mul(h, scaled) // Nr×Ns effective columns, power already applied
-	cov := ws.Mul(g, ws.H(g))
+// receiver with true channel h (Nr×Nt) on subcarrier k from ws, together
+// with the effective columns g = h·scaled (power already applied) it is
+// built from.
+func (t *Transmission) covarianceWS(ws *Workspace, h *linalg.Matrix, k int) (cov, g *linalg.Matrix) {
+	g = ws.Mul(h, scaleColumns(ws.Clone(t.Precoder.PerSubcarrier[k]), t.PowerMW[k]))
+	cov = ws.Mul(g, ws.H(g))
 	if v := t.TxNoiseVarMW[k]; v > 0 {
 		hh := ws.Mul(h, ws.H(h))
 		cv := complex(v, 0)
@@ -52,119 +36,84 @@ func (t *Transmission) covarianceWS(ws *Workspace, h *linalg.Matrix, k int) *lin
 			cov.Data[i] += hh.Data[i] * cv
 		}
 	}
-	return cov
-}
-
-// interferenceCovariance builds the per-subcarrier receive covariance R
-// shared by StreamSINRsWS and SINRCoefficientsWS: own signal plus own TX
-// noise plus (optional) cross interference plus thermal noise, preserving
-// the exact floating-point operation order of the heap implementation.
-// Returns R and the own signal columns a = h·scaled.
-func interferenceCovariance(ws *Workspace, h *linalg.Matrix, ownTx *Transmission, cross *channel.Link, crossTx *Transmission, noisePerSCMW float64, k int) (r, a *linalg.Matrix) {
-	nr := h.Rows
-	scaled := ownTx.Precoder.scaledWS(ws, k, ownTx.PowerMW[k])
-	a = ws.Mul(h, scaled) // Nr×Ns signal columns
-	r = ws.Mul(a, ws.H(a))
-	if v := ownTx.TxNoiseVarMW[k]; v > 0 {
-		hh := ws.Mul(h, ws.H(h))
-		cv := complex(v, 0)
-		for i := range r.Data {
-			r.Data[i] += hh.Data[i] * cv
-		}
-	}
-	if cross != nil && crossTx != nil {
-		cov := crossTx.covarianceWS(ws, cross.Subcarriers[k], k)
-		for i := range r.Data {
-			r.Data[i] += cov.Data[i]
-		}
-	}
-	for i := 0; i < nr; i++ {
-		r.Set(i, i, r.At(i, i)+complex(noisePerSCMW, 0))
-	}
-	return r, a
+	return cov, g
 }
 
 // StreamSINRsWS is StreamSINRs with all scratch and result storage carved
 // from ws: allocation-free once ws has warmed up. The returned matrix
-// lives in ws (see Workspace ownership rules).
-func StreamSINRsWS(ws *Workspace, own *channel.Link, ownTx *Transmission, cross *channel.Link, crossTx *Transmission, noisePerSCMW float64) [][]float64 {
+// lives in ws (see Workspace ownership rules). It is the one place the
+// MMSE receive covariance R is built.
+//
+// A non-nil coefs (one row of ownTx.Precoder.Streams entries per
+// subcarrier) also receives the linearized SINR: coefs[k][s] is the SINR
+// per milliwatt stream s would see on subcarrier k with every other
+// stream, own and interfering, held at its current power — the quantity
+// COPA's per-stream allocation step (Fig. 6) needs. Q_s excludes stream
+// s's own signal, so it does not depend on p_s and SINR_s = p_s·coefs_s;
+// the coefficient is therefore defined even where the stream is dropped.
+// Callers that only need the SINRs pass nil and skip the second solve.
+func StreamSINRsWS(ws *Workspace, own *channel.Link, ownTx *Transmission, cross *channel.Link, crossTx *Transmission, noisePerSCMW float64, coefs [][]float64) [][]float64 {
 	nSC := len(own.Subcarriers)
 	out := ws.FloatRows(nSC, ownTx.Precoder.Streams)
 	for k := 0; k < nSC; k++ {
 		h := own.Subcarriers[k]
 		nr := h.Rows
-		r, a := interferenceCovariance(ws, h, ownTx, cross, crossTx, noisePerSCMW, k)
+		// R = own signal + own TX noise + cross interference + thermal noise.
+		r, a := ownTx.covarianceWS(ws, h, k)
+		if cross != nil && crossTx != nil {
+			cov, _ := crossTx.covarianceWS(ws, cross.Subcarriers[k], k)
+			for i := range r.Data {
+				r.Data[i] += cov.Data[i]
+			}
+		}
+		for i := 0; i < nr; i++ {
+			r.Set(i, i, r.At(i, i)+complex(noisePerSCMW, 0))
+		}
+		var unit *linalg.Matrix // unit-power columns h·P
+		if coefs != nil {
+			unit = ws.Mul(h, ownTx.Precoder.PerSubcarrier[k])
+		}
 
 		sinrs := out[k]
 		for s := range sinrs {
-			if ownTx.PowerMW[k][s] <= 0 {
-				sinrs[s] = Dropped
+			sinrs[s] = Dropped
+			live := ownTx.PowerMW[k][s] > 0
+			if !live && coefs == nil {
 				continue
 			}
 			ai := ws.Col(a, s)
-			// Qᵢ = R − aᵢaᵢᴴ
+			// Q_s = R − a_s·a_sᴴ
 			q := ws.Clone(r)
 			for ri := 0; ri < nr; ri++ {
 				for ci := 0; ci < nr; ci++ {
 					q.Set(ri, ci, q.At(ri, ci)-ai[ri]*conj(ai[ci]))
 				}
 			}
-			x, err := q.SolveWS(&ws.Workspace, ai)
-			if err != nil {
-				sinrs[s] = Dropped
-				continue
+			if live {
+				if v, ok := quadFormWS(ws, q, ai); ok {
+					sinrs[s] = v
+				}
 			}
-			sinrs[s] = real(linalg.Dot(ai, x))
-			if sinrs[s] < 0 {
-				sinrs[s] = 0
+			if coefs != nil {
+				coefs[k][s], _ = quadFormWS(ws, q, ws.Col(unit, s))
 			}
 		}
 	}
 	return out
 }
 
-// SINRCoefficientsWS linearizes the post-MMSE SINR around the current
-// power allocation: entry [k][s] is the SINR per milliwatt that stream s
-// of the own sender would see on subcarrier k, holding every other stream
-// (own and interfering) at its current power. SINR_s(p) = p · coef[k][s]
-// while the others are fixed — the quantity COPA's per-stream allocation
-// step (Fig. 6) needs. Unlike StreamSINRsWS it is defined even for
-// currently dropped subcarriers. All scratch and result storage is carved
-// from ws: allocation-free once ws has warmed up. The returned matrix
-// lives in ws (see Workspace ownership rules).
-func SINRCoefficientsWS(ws *Workspace, own *channel.Link, ownTx *Transmission, cross *channel.Link, crossTx *Transmission, noisePerSCMW float64) [][]float64 {
-	nSC := len(own.Subcarriers)
-	out := ws.FloatRows(nSC, ownTx.Precoder.Streams)
-	for k := 0; k < nSC; k++ {
-		h := own.Subcarriers[k]
-		nr := h.Rows
-		r, a := interferenceCovariance(ws, h, ownTx, cross, crossTx, noisePerSCMW, k)
-		unit := ws.Mul(h, ownTx.Precoder.PerSubcarrier[k]) // unit-power columns
-
-		coefs := out[k]
-		for s := range coefs {
-			// Q_s: everything except stream s's own signal.
-			ai := ws.Col(a, s)
-			q := ws.Clone(r)
-			for ri := 0; ri < nr; ri++ {
-				for ci := 0; ci < nr; ci++ {
-					q.Set(ri, ci, q.At(ri, ci)-ai[ri]*conj(ai[ci]))
-				}
-			}
-			ui := ws.Col(unit, s)
-			x, err := q.SolveWS(&ws.Workspace, ui)
-			if err != nil {
-				coefs[s] = 0
-				continue
-			}
-			c := real(linalg.Dot(ui, x))
-			if c < 0 {
-				c = 0
-			}
-			coefs[s] = c
-		}
+// quadFormWS returns vᴴ·Q⁻¹·v clamped at zero, or ok = false (and 0) when
+// Q is singular.
+func quadFormWS(ws *Workspace, q *linalg.Matrix, v []complex128) (float64, bool) {
+	x, err := q.SolveWS(&ws.Workspace, v)
+	if err != nil {
+		return 0, false
 	}
-	return out
+	c := real(linalg.Dot(v, x))
+	if c < 0 {
+		c = 0
+	}
+	return c, true
 }
 
 // reusePrecoder prepares dst (allocating it if nil) to hold an

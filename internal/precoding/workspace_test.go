@@ -8,7 +8,8 @@ import (
 
 // TestStreamSINRsWSAllocBudget pins the SINR evaluation hot path at zero
 // steady-state allocations: once the arena has warmed up, Reset+evaluate
-// cycles must not touch the heap.
+// cycles must not touch the heap, whether or not the call also writes the
+// SINR coefficients.
 func TestStreamSINRsWSAllocBudget(t *testing.T) {
 	own := testLink(11, 2, 4, -55)
 	cross := testLink(12, 2, 4, -65)
@@ -20,14 +21,20 @@ func TestStreamSINRsWSAllocBudget(t *testing.T) {
 	tx := NewTransmission(p, powers, channel.DefaultImpairments())
 	noise := channel.NoisePerSubcarrierMW()
 
-	var ws Workspace
-	StreamSINRsWS(&ws, own, tx, cross, tx, noise) // warm up
-	allocs := testing.AllocsPerRun(50, func() {
-		ws.Reset()
-		StreamSINRsWS(&ws, own, tx, cross, tx, noise)
-	})
-	if allocs != 0 {
-		t.Errorf("StreamSINRsWS: %v allocs/run in steady state, want 0", allocs)
+	for _, withCoefs := range []bool{false, true} {
+		var ws Workspace
+		run := func() {
+			ws.Reset()
+			var coefs [][]float64
+			if withCoefs {
+				coefs = ws.FloatRows(len(own.Subcarriers), p.Streams)
+			}
+			StreamSINRsWS(&ws, own, tx, cross, tx, noise, coefs)
+		}
+		run() // warm up
+		if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+			t.Errorf("StreamSINRsWS (coefficients %v): %v allocs/run in steady state, want 0", withCoefs, allocs)
+		}
 	}
 }
 
